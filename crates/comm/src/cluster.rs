@@ -1859,16 +1859,30 @@ mod tests {
         // bit on every rank.
         let world = 5;
         let len = 37; // not divisible by world: shards are uneven
-        let contribution =
-            move |rank: usize, i: usize| ((rank * len + i) as f32 * 0.37).sin() * 0.25 - 0.1;
+                      // Every contribution is computed once, behind `black_box`, and both
+                      // the reference and the ranks read this table: an optimized build
+                      // may otherwise constant-fold `sin` in the serial loop differently
+                      // from the runtime call the ranks make.
+        let contributions: std::sync::Arc<Vec<Vec<f32>>> = std::sync::Arc::new(
+            (0..world)
+                .map(|rank| {
+                    (0..len)
+                        .map(|i| {
+                            let x = std::hint::black_box((rank * len + i) as f32 * 0.37);
+                            x.sin() * 0.25 - 0.1
+                        })
+                        .collect()
+                })
+                .collect(),
+        );
         let mut expected = vec![0.0f32; len];
-        for r in 0..world {
-            for (i, e) in expected.iter_mut().enumerate() {
-                *e += contribution(r, i);
+        for rank_values in contributions.iter() {
+            for (e, &v) in expected.iter_mut().zip(rank_values) {
+                *e += v;
             }
         }
         let results = cluster(world).run(move |ctx| {
-            let mut data: Vec<f32> = (0..len).map(|i| contribution(ctx.rank(), i)).collect();
+            let mut data = contributions[ctx.rank()].clone();
             ctx.all_reduce_sum(&mut data);
             data
         });

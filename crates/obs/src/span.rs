@@ -191,7 +191,7 @@ impl SpanRecorder {
     }
 
     /// Close the span running since the previous mark and attribute it to
-    /// `phase` — the recorder twin of the pipeline's `WallClock::mark`.
+    /// `phase` — the span twin of the trainer's wall bucket for that phase.
     pub fn mark(&mut self, phase: &'static str, modeled_now: f64) {
         let now = self.now(modeled_now);
         let rec = SpanRecord {
@@ -209,8 +209,7 @@ impl SpanRecorder {
 
     /// Close the span since the previous mark as *two* spans: the first
     /// `codec_seconds` attributed to `codec_phase`, the remainder to
-    /// `rest_phase` — the twin of `WallClock::mark_split` used by the
-    /// overlapped exchange paths.
+    /// `rest_phase` — how the trainer closes an overlapped exchange region.
     pub fn mark_split(
         &mut self,
         codec_phase: &'static str,

@@ -29,8 +29,9 @@
 
 use crate::config::GradPushSetting;
 use crate::partition::TablePartition;
-use crate::pipeline::{phases, PipelineScratch};
-use dlrm_comm::cluster::{RankCtx, METADATA_RECORD_BYTES};
+use crate::pipeline::{var_a2a_seconds, PipelineScratch};
+use dlrm_comm::cluster::RankCtx;
+use dlrm_comm::phase as phases;
 use dlrm_comm::topology::{TieredCostModel, Topology};
 use dlrm_comm::{CostModel, TimingLedger};
 use dlrm_grad::{GradCodec, GradScratch};
@@ -197,15 +198,7 @@ impl GradPushState {
                     tags,
                     &mut pipeline.meta,
                 );
-                let meta_bytes = world.saturating_sub(1) * METADATA_RECORD_BYTES;
-                ledger.add_time(
-                    phases::BWD_A2A,
-                    cost.metadata_time(world.saturating_sub(1), METADATA_RECORD_BYTES)
-                        + cost.alltoall_time(
-                            stats.sent.saturating_sub(meta_bytes),
-                            stats.received.saturating_sub(meta_bytes),
-                        ),
-                );
+                ledger.add_time(phases::BWD_A2A, var_a2a_seconds(cost, world, &stats).0);
                 ledger.add_bytes(phases::BWD_A2A, (stats.sent + stats.received) as u64);
                 // Fold the streams of my owned tables in ascending source
                 // rank order.
@@ -225,14 +218,7 @@ impl GradPushState {
                     tags,
                     &mut pipeline.meta,
                 );
-                let intra = tiered.intra_model();
-                let meta_bytes = world.saturating_sub(1) * METADATA_RECORD_BYTES;
-                let mut a2a_time = intra
-                    .metadata_time(world.saturating_sub(1), METADATA_RECORD_BYTES)
-                    + intra.alltoall_time(
-                        stats.sent.saturating_sub(meta_bytes),
-                        stats.received.saturating_sub(meta_bytes),
-                    );
+                let mut a2a_time = var_a2a_seconds(&tiered.intra_model(), world, &stats).0;
                 let mut a2a_bytes = (stats.sent + stats.received) as u64;
                 // Leaders fold their node's streams — every table, ascending
                 // member rank.

@@ -18,8 +18,9 @@ use dlrm_adaptive::controller::{
 use dlrm_adaptive::{advise_dense_allreduce, CodecProfile, DenseAdvice, EbSchedule};
 use dlrm_ckpt::{Checkpoint, CheckpointSpec, CkptCodec, RankCheckpoint};
 use dlrm_comm::cluster::{
-    RankCtx, CHUNK_HEADER_BYTES, HIER_ENTRY_HEADER_BYTES, METADATA_RECORD_BYTES,
+    ExchangeBytes, RankCtx, CHUNK_HEADER_BYTES, HIER_ENTRY_HEADER_BYTES, METADATA_RECORD_BYTES,
 };
+use dlrm_comm::phase as phases;
 use dlrm_comm::pool::{PoolStats, PooledBuf};
 use dlrm_comm::reduce::{
     allreduce_tier_bytes, shard_range, RawF32Codec, ReduceCodec, ReduceScratch,
@@ -28,7 +29,7 @@ use dlrm_comm::topology::{HierExchangeBytes, TieredCostModel, Topology};
 use dlrm_comm::{CostModel, OverlapTimeline, TimingLedger};
 use dlrm_compress::lowprec::{self, Precision};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
-use dlrm_data::{DatasetConfig, SyntheticCriteo};
+use dlrm_data::{DatasetConfig, MiniBatch, SyntheticCriteo};
 use dlrm_grad::GradCompressor;
 use dlrm_model::{Dlrm, DlrmConfig, EvalMetrics};
 use dlrm_obs::{ClockDomain, MetricsRow, MetricsSeries, RankTrack, RecordKind, SpanRecorder};
@@ -40,12 +41,6 @@ use std::time::Instant;
 /// couple of iterations grow the pool, the compress scratch and the float
 /// recycler to their working sizes.
 pub const WARMUP_ITERATIONS: usize = 2;
-
-/// Ledger phase names, shared with the bench harness so breakdowns stay
-/// consistent across figures. The canonical constants live in
-/// [`dlrm_comm::phase`] (next to the stringly-keyed ledger they key); this
-/// alias keeps the trainer-side `pipeline::phases::*` spelling working.
-pub use dlrm_comm::phase as phases;
 
 /// The compression setting resolved to something the inner loop can use
 /// without matching on the config every time.
@@ -245,50 +240,6 @@ impl ResolvedCompression {
     }
 }
 
-/// Wall-clock stopwatch for the training loop: every elapsed instant is
-/// attributed to exactly one pipeline phase, so the per-phase wall seconds
-/// always sum to the loop's total wall time. Work the cost model does not
-/// charge (batch synthesis, lease bookkeeping, warm-up parking) lands in the
-/// bucket whose mark closes next — the wall ledger partitions real time, it
-/// does not re-model it.
-struct WallClock {
-    ledger: TimingLedger,
-    last: Instant,
-}
-
-impl WallClock {
-    fn new() -> Self {
-        Self {
-            ledger: TimingLedger::new(),
-            last: Instant::now(),
-        }
-    }
-
-    /// Charge everything since the previous mark to `phase`.
-    fn mark(&mut self, phase: &'static str) {
-        let now = Instant::now();
-        self.ledger
-            .add_time(phase, now.duration_since(self.last).as_secs_f64());
-        self.last = now;
-    }
-
-    /// Close an overlapped exchange region where codec work interleaves with
-    /// waiting on the wire: `codec_s` measured codec seconds go to
-    /// `codec_phase`, the remainder of the region to `rest_phase`.
-    fn mark_split(&mut self, codec_phase: &'static str, codec_s: f64, rest_phase: &'static str) {
-        let now = Instant::now();
-        let total = now.duration_since(self.last).as_secs_f64();
-        let codec = codec_s.clamp(0.0, total);
-        self.ledger.add_time(codec_phase, codec);
-        self.ledger.add_time(rest_phase, total - codec);
-        self.last = now;
-    }
-
-    fn into_ledger(self) -> TimingLedger {
-        self.ledger
-    }
-}
-
 /// Per-rank observability state ([`crate::config::ObsSetting::On`] only):
 /// the span ring, the per-iteration metrics series, and the ledger baselines
 /// each end-of-iteration row is computed against. Everything is preallocated
@@ -361,12 +312,12 @@ impl ObsState {
         &mut self,
         iter: usize,
         ledger: &TimingLedger,
-        wall: &WallClock,
+        wall: &TimingLedger,
         fwd_traffic: &[(u64, u64)],
         tier_bytes: (u64, u64),
     ) {
         self.modeled_mark = ledger.total_seconds();
-        self.wall_mark = wall.ledger.total_seconds();
+        self.wall_mark = wall.total_seconds();
         self.comm_seconds_mark = Self::comm_seconds(ledger);
         self.wire_bytes_mark = Self::wire_bytes(ledger);
         self.tier_bytes_mark = tier_bytes;
@@ -375,12 +326,6 @@ impl ObsState {
         self.bwd_dec_mark = ledger.seconds(phases::BWD_DECOMPRESS);
         self.depth_max = 0;
         self.rec.begin_iteration(iter as u64, self.modeled_mark);
-    }
-
-    /// Close the span since the previous mark as `phase` (the recorder's
-    /// modeled twin of [`WallClock::mark`]).
-    fn mark(&mut self, phase: &'static str, ledger: &TimingLedger) {
-        self.rec.mark(phase, ledger.total_seconds());
     }
 
     /// Close an overlapped exchange region: codec time to `codec_phase`, the
@@ -466,7 +411,7 @@ impl ObsState {
         &mut self,
         iter: usize,
         ledger: &TimingLedger,
-        wall: &WallClock,
+        wall: &TimingLedger,
         fwd_traffic: &[(u64, u64)],
         tier_bytes: (u64, u64),
         ef_residual_norm: f64,
@@ -491,7 +436,7 @@ impl ObsState {
         let row = MetricsRow {
             iteration: iter as u64,
             modeled_seconds: now - self.modeled_mark,
-            wall_seconds: wall.ledger.total_seconds() - self.wall_mark,
+            wall_seconds: wall.total_seconds() - self.wall_mark,
             comm_seconds: comm,
             wire_bytes: wire,
             intra_bytes: tier_bytes.0 - self.tier_bytes_mark.0,
@@ -509,17 +454,6 @@ impl ObsState {
         };
         self.metrics.push_row(row, &self.ratio_buf);
         self.rec.end_iteration(now);
-    }
-}
-
-/// One-line hook beside each [`WallClock::mark`]: no-op with observability
-/// off. Exchange-closing marks also sample the fabric's channel depth.
-fn obs_mark(obs: &mut Option<ObsState>, phase: &'static str, ledger: &TimingLedger, ctx: &RankCtx) {
-    if let Some(o) = obs.as_mut() {
-        if matches!(phase, phases::FWD_A2A | phases::BWD_A2A | phases::ALLREDUCE) {
-            o.sample_depth(ctx);
-        }
-        o.mark(phase, ledger);
     }
 }
 
@@ -682,17 +616,16 @@ pub struct PipelineScratch {
     float_allocated: u64,
     /// Bytes of float storage served from the recycler.
     float_reused: u64,
-    /// Requested forward send-buffer capacity per destination, learned from
-    /// earlier iterations so pool leases rarely have to grow.
-    chunk_capacity_hint: Vec<usize>,
-    /// Same, for the backward (gradient) send buffers per owner rank.
-    bwd_chunk_capacity_hint: Vec<usize>,
-    /// Per-chunk codec seconds of the current overlapped collective
-    /// (rotation order), feeding the [`OverlapTimeline`].
+    /// Requested send-lease capacity per peer, learned from earlier
+    /// iterations so pool leases rarely have to grow: `[0]` for the forward
+    /// (lookup) exchange, `[1]` for the backward (gradient) one.
+    capacity_hints: [Vec<usize>; 2],
+    /// Per-chunk codec seconds of the current exchange (in the schedule's
+    /// peer order), feeding the [`OverlapTimeline`].
     chunk_codec_s: Vec<f64>,
-    /// Per-chunk bytes this rank sent (rotation order, headers included).
+    /// Per-chunk bytes this rank sent (peer order, headers included).
     chunk_sent: Vec<usize>,
-    /// Per-chunk bytes this rank received (rotation order, headers included).
+    /// Per-chunk bytes this rank received (chunked schedule only).
     chunk_recv: Vec<usize>,
 }
 
@@ -709,8 +642,7 @@ impl PipelineScratch {
             float_pool: Vec::new(),
             float_allocated: 0,
             float_reused: 0,
-            chunk_capacity_hint: vec![64; world],
-            bwd_chunk_capacity_hint: vec![64; world],
+            capacity_hints: [vec![64; world], vec![64; world]],
             chunk_codec_s: Vec::with_capacity(world),
             chunk_sent: Vec::with_capacity(world),
             chunk_recv: Vec::with_capacity(world),
@@ -754,33 +686,10 @@ impl PipelineScratch {
     }
 }
 
-/// Serialize a list of `(table, payload)` blocks into one all-to-all chunk.
-///
-/// Wire format: `[count u32][table u32][len u32][payload]…` — exactly what
-/// the zero-allocation pipeline writes incrementally into its send leases
-/// (see `run_rank`), kept as a standalone function for tests and tooling.
-pub fn encode_blocks(blocks: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(blocks.iter().map(|(_, b)| b.len() + 8).sum::<usize>() + 4);
-    out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-    for (table, payload) in blocks {
-        out.extend_from_slice(&table.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(payload);
-    }
-    out
-}
-
-/// Inverse of [`encode_blocks`] (allocating; the pipeline itself walks the
-/// chunk in place with [`block_slices`]).
-pub fn decode_blocks(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
-    block_slices(bytes)
-        .map(|(table, payload)| (table, payload.to_vec()))
-        .collect()
-}
-
-/// Zero-copy walk over an [`encode_blocks`]-format chunk: yields
-/// `(table, payload)` with payloads borrowed from `bytes`.
-pub fn block_slices(bytes: &[u8]) -> impl Iterator<Item = (u32, &[u8])> {
+/// Zero-copy walk over one all-to-all chunk — `[count u32]` followed by
+/// `count` blocks as [`write_block`] appends them: yields `(table, payload)`
+/// with payloads borrowed from `bytes`.
+fn block_slices(bytes: &[u8]) -> impl Iterator<Item = (u32, &[u8])> {
     let count = u32::from_le_bytes(bytes[0..4].try_into().expect("block count")) as usize;
     let mut pos = 4usize;
     (0..count).map(move |_| {
@@ -794,10 +703,21 @@ pub fn block_slices(bytes: &[u8]) -> impl Iterator<Item = (u32, &[u8])> {
     })
 }
 
-/// Charge a compression/decompression phase: per-codec analytic seconds
+/// Seconds a piece of codec work is charged: the per-codec analytic sum
 /// when a [`CodecProfile`] is configured (accumulated per block by the
 /// caller and passed as `analytic`), `bytes / throughput` under the flat
-/// device-throughput override, measured seconds otherwise.
+/// device-throughput override, the measured seconds otherwise. The one rule
+/// behind every codec charge — whole stages through [`charge_codec`], single
+/// chunks on the overlap timeline.
+fn codec_seconds(measured: f64, bytes: u64, throughput: Option<f64>, analytic: Option<f64>) -> f64 {
+    match (analytic, throughput) {
+        (Some(a), _) => a,
+        (None, Some(t)) if t > 0.0 => bytes as f64 / t,
+        _ => measured,
+    }
+}
+
+/// Charge a compression/decompression phase by [`codec_seconds`].
 fn charge_codec(
     ledger: &mut TimingLedger,
     phase: &str,
@@ -806,44 +726,15 @@ fn charge_codec(
     throughput: Option<f64>,
     analytic: Option<f64>,
 ) {
-    let seconds = match (analytic, throughput) {
-        (Some(a), _) => a,
-        (None, Some(t)) if t > 0.0 => bytes as f64 / t,
-        _ => measured,
-    };
-    ledger.add_time(phase, seconds);
+    ledger.add_time(phase, codec_seconds(measured, bytes, throughput, analytic));
     ledger.add_bytes(phase, bytes);
-}
-
-/// Seconds one chunk's codec work is charged on the virtual codec timeline:
-/// zero for raw payloads (the byte conversion stands in for NCCL sending the
-/// original buffer), the per-codec analytic sum when a profile is
-/// configured, `bytes / throughput` under a device-throughput override, the
-/// measured seconds otherwise — chunk-level mirror of [`charge_codec`], so
-/// the timeline and the ledger always agree.
-fn chunk_codec_seconds(
-    is_raw: bool,
-    measured: f64,
-    bytes: u64,
-    throughput: Option<f64>,
-    analytic: Option<f64>,
-) -> f64 {
-    if is_raw {
-        return 0.0;
-    }
-    match (analytic, throughput) {
-        (Some(a), _) => a,
-        (None, Some(t)) if t > 0.0 => bytes as f64 / t,
-        _ => measured,
-    }
 }
 
 /// Per-block analytic codec seconds under a per-codec throughput profile:
 /// `bytes` over the profile throughput of the codec `table` runs (the
 /// compress side, or the decompress side with `decompress`). Zero without a
 /// profile or for raw payloads — callers sum this per block and pass the
-/// total as the `analytic` argument of [`charge_codec`] /
-/// [`chunk_codec_seconds`].
+/// total as the `analytic` argument of [`codec_seconds`].
 fn block_profile_seconds(
     profile: Option<&CodecProfile>,
     resolved: &ResolvedCompression,
@@ -886,13 +777,39 @@ fn settle_chunk(ctx: &RankCtx, buf: PooledBuf, cap_at_take: usize) -> (PooledBuf
     (fresh, grown)
 }
 
-/// Charge one overlapped chunked all-to-all: codec seconds per chunk feed
-/// the codec timeline, wire seconds per chunk are the collective's
-/// bottleneck-bandwidth time split across chunks in proportion to their
-/// bottleneck bytes (so chunking never changes total wire time — only what
-/// hides behind it), and one α latency is charged for the collective. The
-/// exposed (non-hidden) wire time goes to `phase`'s seconds, the hidden time
-/// to its `overlap_saved` counter. Returns the timeline for inspection.
+/// Charge an exchange whose chunks overlap codec work with the wire: the
+/// per-chunk codec seconds feed an [`OverlapTimeline`], the collective's
+/// `beta` (bandwidth) seconds are split across the chunks in proportion to
+/// `weights` (so chunking never changes total wire time — only what hides
+/// behind it), and `alpha` latency is charged once. The exposed wire goes
+/// to `phase`'s seconds, the hidden time to its `overlap_saved` counter.
+/// Returns the timeline for inspection.
+fn charge_overlap(
+    ledger: &mut TimingLedger,
+    phase: &str,
+    alpha: f64,
+    beta: f64,
+    codec_s: &[f64],
+    weights: impl Iterator<Item = usize> + Clone,
+) -> OverlapTimeline {
+    let weight_total: f64 = weights.clone().map(|w| w as f64).sum();
+    let mut timeline = OverlapTimeline::new();
+    for (&codec, w) in codec_s.iter().zip(weights) {
+        let wire = if weight_total > 0.0 {
+            beta * w as f64 / weight_total
+        } else {
+            0.0
+        };
+        timeline.push(codec, wire);
+    }
+    ledger.add_time(phase, alpha + timeline.exposed_wire());
+    ledger.add_overlap_saved(phase, timeline.saved());
+    timeline
+}
+
+/// Charge one overlapped chunked all-to-all through [`charge_overlap`]: one
+/// α latency, and the collective's bottleneck-bandwidth time weighted by
+/// each chunk's bottleneck bytes.
 fn charge_overlapped_a2a(
     ledger: &mut TimingLedger,
     phase: &str,
@@ -905,31 +822,41 @@ fn charge_overlapped_a2a(
     debug_assert_eq!(codec_s.len(), recv.len());
     let sent_total: usize = sent.iter().sum();
     let recv_total: usize = recv.iter().sum();
-    let bottleneck_seconds = cost.bandwidth_time(sent_total.max(recv_total));
-    let weight_total: f64 = sent.iter().zip(recv).map(|(&s, &r)| s.max(r) as f64).sum();
-    let mut timeline = OverlapTimeline::new();
-    for ((&codec, &s), &r) in codec_s.iter().zip(sent).zip(recv) {
-        let wire = if weight_total > 0.0 {
-            bottleneck_seconds * (s.max(r) as f64) / weight_total
-        } else {
-            0.0
-        };
-        timeline.push(codec, wire);
-    }
-    ledger.add_time(phase, cost.config().latency + timeline.exposed_wire());
     ledger.add_bytes(phase, (sent_total + recv_total) as u64);
-    ledger.add_overlap_saved(phase, timeline.saved());
-    timeline
+    charge_overlap(
+        ledger,
+        phase,
+        cost.config().latency,
+        cost.bandwidth_time(sent_total.max(recv_total)),
+        codec_s,
+        sent.iter().zip(recv).map(|(&s, &r)| s.max(r)),
+    )
+}
+
+/// Modeled seconds of one variable all-to-all on `cost`: the metadata
+/// records' phase plus the payload phase. `stats` counts the records too,
+/// but `metadata_time` already charges their bandwidth, so the payload term
+/// leaves them out. Also returns the payload bottleneck bytes (the larger of
+/// sent and received).
+pub(crate) fn var_a2a_seconds(
+    cost: &CostModel,
+    world: usize,
+    stats: &ExchangeBytes,
+) -> (f64, usize) {
+    let peers = world.saturating_sub(1);
+    let meta_bytes = peers * METADATA_RECORD_BYTES;
+    let sent = stats.sent.saturating_sub(meta_bytes);
+    let received = stats.received.saturating_sub(meta_bytes);
+    let seconds =
+        cost.metadata_time(peers, METADATA_RECORD_BYTES) + cost.alltoall_time(sent, received);
+    (seconds, sent.max(received))
 }
 
 /// Charge one hierarchical all-to-all. Sequential mode charges the full
 /// tiered time (gather + exchange + scatter, each phase one α of its tier
 /// plus its bottleneck bytes over the tier bandwidth). Double-buffered mode
-/// mirrors [`charge_overlapped_a2a`]: the α's are charged once, the β
-/// seconds are split across chunks in proportion to `weights` (this rank's
-/// per-destination chunk bytes) and fed through the [`OverlapTimeline`]
-/// against the per-chunk codec seconds — only the exposed wire is charged,
-/// the hidden seconds land in the `overlap_saved` counter. Either way the
+/// goes through [`charge_overlap`]: the α's once, the β seconds weighted by
+/// `weights` (this rank's per-destination chunk bytes). Either way the
 /// collective's total wire time is the tiered model's; overlap only changes
 /// what hides behind it. Returns the un-overlapped `(intra, inter)` tier
 /// seconds for the report's per-tier breakdown.
@@ -948,18 +875,7 @@ fn charge_hier_a2a(
         debug_assert_eq!(codec_s.len(), weights.len());
         let alpha = tiered.hier_alpha_seconds();
         let beta = (intra_t + inter_t - alpha).max(0.0);
-        let weight_total: f64 = weights.iter().map(|&w| w as f64).sum();
-        let mut timeline = OverlapTimeline::new();
-        for (&codec, &w) in codec_s.iter().zip(weights) {
-            let wire = if weight_total > 0.0 {
-                beta * w as f64 / weight_total
-            } else {
-                0.0
-            };
-            timeline.push(codec, wire);
-        }
-        ledger.add_time(phase, alpha + timeline.exposed_wire());
-        ledger.add_overlap_saved(phase, timeline.saved());
+        charge_overlap(ledger, phase, alpha, beta, codec_s, weights.iter().copied());
     } else {
         ledger.add_time(phase, intra_t + inter_t);
     }
@@ -967,10 +883,9 @@ fn charge_hier_a2a(
 }
 
 /// Append one `[table u32][len u32][payload]` block to a send lease,
-/// compressing the payload in place and back-patching the length — the
-/// single definition of the chunk wire format shared by the forward and
-/// backward compress stages (see [`encode_blocks`] for the standalone
-/// encoder). Returns the compressed payload length.
+/// compressing the payload in place and back-patching the length — with
+/// [`block_slices`], the single definition of the chunk wire format.
+/// Returns the compressed payload length.
 #[allow(clippy::too_many_arguments)]
 fn write_block(
     resolved: &ResolvedCompression,
@@ -991,66 +906,528 @@ fn write_block(
     payload_len
 }
 
-/// Measure how much each filled send lease grew beyond its capacity at take
-/// time (allocations the pool counters cannot see) and raise the per-slot
-/// capacity hints to the observed sizes. Returns the grown bytes.
-fn settle_send_leases(send: &[PooledBuf], take_caps: &[usize], hints: &mut [usize]) -> u64 {
-    let mut growth = 0u64;
-    for ((buf, &cap_at_take), hint) in send.iter().zip(take_caps).zip(hints.iter_mut()) {
-        growth += buf.capacity().saturating_sub(cap_at_take) as u64;
-        *hint = (*hint).max(buf.len());
+/// Per-rank recorder of pipeline phase boundaries. Every boundary is closed
+/// exactly once, and that one close feeds all three per-phase views: the
+/// wall-clock bucket, the span trace (observability on only) and the
+/// allocation counters. Modeled charges are not its business — they go into
+/// the [`TimingLedger`] where they are computed, before the close.
+///
+/// The wall buckets partition real time: every elapsed instant goes to the
+/// phase whose boundary closes next, so they sum to the loop's wall time.
+/// Work the cost model does not charge (batch synthesis, lease bookkeeping,
+/// warm-up parking) lands in the bucket it precedes.
+struct PhaseClock<'a> {
+    ctx: &'a RankCtx,
+    wall: TimingLedger,
+    /// The previous boundary.
+    last: Instant,
+    obs: Option<ObsState>,
+    /// Allocation counters at the previous boundary: pool, compress-scratch
+    /// capacity, float recycler `(allocated, reused)`.
+    pool_mark: PoolStats,
+    compress_mark: u64,
+    float_mark: (u64, u64),
+    /// Bytes freshly allocated after [`WARMUP_ITERATIONS`].
+    steady_allocated: u64,
+    /// Whether the current iteration counts toward `steady_allocated`.
+    counting: bool,
+}
+
+impl<'a> PhaseClock<'a> {
+    /// Start the clock: wall time and allocation activity are measured from
+    /// here on.
+    fn new(ctx: &'a RankCtx, scratch: &PipelineScratch, obs: Option<ObsState>) -> Self {
+        Self {
+            ctx,
+            wall: TimingLedger::new(),
+            last: Instant::now(),
+            obs,
+            pool_mark: ctx.pool().stats(),
+            compress_mark: scratch.compress.capacity_bytes(),
+            float_mark: scratch.float_counters(),
+            steady_allocated: 0,
+            counting: false,
+        }
     }
-    growth
+
+    /// Close `phase`. `extra_allocated` is allocation the pool, scratch and
+    /// recycler counters cannot see, measured by the caller (send-lease
+    /// growth, dense-state growth).
+    fn close(
+        &mut self,
+        phase: &'static str,
+        ledger: &mut TimingLedger,
+        scratch: &PipelineScratch,
+        extra_allocated: u64,
+    ) {
+        self.account(phase, ledger, scratch, extra_allocated);
+        if let Some(o) = self.obs.as_mut() {
+            if matches!(phase, phases::FWD_A2A | phases::BWD_A2A | phases::ALLREDUCE) {
+                o.sample_depth(self.ctx);
+            }
+            o.rec.mark(phase, ledger.total_seconds());
+        }
+        let elapsed = self.lap();
+        self.wall.add_time(phase, elapsed);
+    }
+
+    /// Close an overlapped exchange region where decoding interleaved with
+    /// waiting on the wire: `codec_s` measured codec seconds go to
+    /// `codec_phase` (which also takes the region's allocations), the rest
+    /// of the region to `rest_phase`.
+    fn close_split(
+        &mut self,
+        codec_phase: &'static str,
+        codec_s: f64,
+        rest_phase: &'static str,
+        ledger: &mut TimingLedger,
+        scratch: &PipelineScratch,
+    ) {
+        self.account(codec_phase, ledger, scratch, 0);
+        if let Some(o) = self.obs.as_mut() {
+            o.sample_depth(self.ctx);
+            o.mark_split(codec_phase, codec_s, rest_phase, ledger);
+        }
+        let elapsed = self.lap();
+        let codec = codec_s.clamp(0.0, elapsed);
+        self.wall.add_time(codec_phase, codec);
+        self.wall.add_time(rest_phase, elapsed - codec);
+    }
+
+    /// Wall seconds since the previous boundary, which this one becomes.
+    fn lap(&mut self) -> f64 {
+        let now = Instant::now();
+        let elapsed = now.duration_since(self.last).as_secs_f64();
+        self.last = now;
+        elapsed
+    }
+
+    /// Fold the allocation activity since the previous boundary into
+    /// `phase`'s ledger counters (pool misses, compress-scratch growth,
+    /// float-recycler misses, plus `extra_allocated`) and, past warm-up,
+    /// into the steady-state total.
+    fn account(
+        &mut self,
+        phase: &str,
+        ledger: &mut TimingLedger,
+        scratch: &PipelineScratch,
+        extra_allocated: u64,
+    ) {
+        let now = self.ctx.pool().stats();
+        let pool_delta = now.since(&self.pool_mark);
+        self.pool_mark = now;
+        let capacity_now = scratch.compress.capacity_bytes();
+        let scratch_growth = capacity_now.saturating_sub(self.compress_mark);
+        self.compress_mark = capacity_now;
+        let (fa, fr) = scratch.float_counters();
+        let float_allocated = fa - self.float_mark.0;
+        let float_reused = fr - self.float_mark.1;
+        self.float_mark = (fa, fr);
+        let allocated =
+            pool_delta.allocated_bytes + scratch_growth + float_allocated + extra_allocated;
+        // The flag is read once per process; this diagnostic sits inside the
+        // very instrumentation that demonstrates the allocation-free loop.
+        static ALLOC_DEBUG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        let debug = *ALLOC_DEBUG.get_or_init(|| std::env::var("DLRM_ALLOC_DEBUG").is_ok());
+        if debug && allocated > 0 {
+            eprintln!(
+                "[alloc] rank {} phase {phase}: pool {} scratch {} float {} extra {}",
+                self.ctx.rank(),
+                pool_delta.allocated_bytes,
+                scratch_growth,
+                float_allocated,
+                extra_allocated
+            );
+        }
+        ledger.add_allocated_bytes(phase, allocated);
+        ledger.add_reused_bytes(phase, pool_delta.reused_bytes + float_reused);
+        if self.counting {
+            self.steady_allocated += allocated;
+        }
+    }
 }
 
-/// Running marks for the per-phase allocation accounting.
-struct AllocMarks {
-    pool: PoolStats,
-    compress_capacity: u64,
-    float: (u64, u64),
+/// `(intra, inter)` tier bytes and seconds a rank's network phases moved
+/// and were charged under a hierarchical topology (zeros when flat).
+#[derive(Default)]
+struct TierTotals {
+    bytes: (u64, u64),
+    seconds: (f64, f64),
 }
 
-/// Fold the allocation activity since the last mark into `phase`'s ledger
-/// counters (pool misses, compress-scratch growth, float-recycler misses,
-/// plus `extra_allocated` measured directly by the caller, e.g. send-lease
-/// growth). Returns the freshly allocated bytes so the caller can maintain
-/// the steady-state counter.
-fn note_alloc(
+/// How an embedding all-to-all moves its per-peer chunks, derived from the
+/// trainer's overlap and topology settings. Every schedule moves the same
+/// chunk bytes and decodes to bit-identical values; they differ in the
+/// lease kind, the collective and the wire charge.
+#[derive(Clone, Copy)]
+enum Schedule<'a> {
+    /// Compress every chunk, run the variable all-to-all (metadata records,
+    /// then payloads), decompress.
+    Sequential,
+    /// Double-buffered rotation: chunk k goes to rank+k and is begin-sent
+    /// as soon as it is compressed; arrivals (from rank−k) are decoded as
+    /// they complete, so codec time hides behind the wire.
+    Chunked,
+    /// The two-level collective of a node topology; `overlapped` hides
+    /// per-chunk codec time behind its bandwidth seconds.
+    Hierarchical {
+        topo: &'a Topology,
+        tiered: &'a TieredCostModel,
+        overlapped: bool,
+    },
+}
+
+impl<'a> Schedule<'a> {
+    fn new(overlapped: bool, hier: Option<&'a (Topology, TieredCostModel)>) -> Self {
+        match hier {
+            Some((topo, tiered)) => Schedule::Hierarchical {
+                topo,
+                tiered,
+                overlapped,
+            },
+            None if overlapped => Schedule::Chunked,
+            None => Schedule::Sequential,
+        }
+    }
+
+    /// The peer this rank's `step`-th chunk goes to, and the one its
+    /// `step`-th arrival comes from.
+    fn peers(self, rank: usize, step: usize, world: usize) -> (usize, usize) {
+        match self {
+            Schedule::Chunked => ((rank + step) % world, (rank + world - step) % world),
+            _ => (step, step),
+        }
+    }
+}
+
+/// Which of the two embedding all-to-alls an [`exchange`] runs: where its
+/// blocks come from and where the decoded blocks go.
+enum Direction<'a> {
+    /// Stages 2–4: owners send every destination its shard's lookups of
+    /// the owned tables; decoded blocks fill `slots` by table.
+    Forward {
+        owned: &'a [usize],
+        /// Lookups indexed `[local table index * world + destination]`.
+        lookups: &'a [Matrix],
+        slots: &'a mut [Option<Matrix>],
+        /// Per-table `(original, compressed)` bytes this rank produced.
+        traffic: &'a mut [(u64, u64)],
+    },
+    /// Stages 6–7: every rank sends each owner its shard's gradients of the
+    /// owner's tables; decoded blocks are collected as
+    /// `(table, source rank, gradient)`.
+    Backward {
+        partition: &'a TablePartition,
+        grads: &'a [Matrix],
+        entries: &'a mut Vec<(u32, u32, Matrix)>,
+    },
+}
+
+impl<'a> Direction<'a> {
+    fn is_forward(&self) -> bool {
+        matches!(self, Direction::Forward { .. })
+    }
+
+    /// `[compress, all-to-all, decompress]` ledger phases.
+    fn phases(&self) -> [&'static str; 3] {
+        use dlrm_comm::phase::*;
+        if self.is_forward() {
+            [FWD_COMPRESS, FWD_A2A, FWD_DECOMPRESS]
+        } else {
+            [BWD_COMPRESS, BWD_A2A, BWD_DECOMPRESS]
+        }
+    }
+
+    /// Tables of the chunk sent to `peer`, in block order (ascending).
+    fn tables(&self, peer: usize) -> &'a [usize] {
+        match *self {
+            Direction::Forward { owned, .. } => owned,
+            Direction::Backward { partition, .. } => partition.tables_of(peer),
+        }
+    }
+
+    /// The block of `table` (the `local`-th of [`Self::tables`]) for `peer`.
+    fn block(&self, local: usize, table: usize, peer: usize, world: usize) -> &'a Matrix {
+        match *self {
+            Direction::Forward { lookups, .. } => &lookups[local * world + peer],
+            Direction::Backward { grads, .. } => &grads[table],
+        }
+    }
+
+    /// Rows of the blocks exchanged with `peer`: `(sent, received)`.
+    fn rows(&self, shards: &[MiniBatch], rank: usize, peer: usize) -> (usize, usize) {
+        let (mine, theirs) = (shards[rank].batch_size(), shards[peer].batch_size());
+        if self.is_forward() {
+            (theirs, mine)
+        } else {
+            (mine, theirs)
+        }
+    }
+
+    /// Record a compressed block (forward traffic accounting only).
+    fn note_sent(&mut self, table: usize, original: u64, encoded: u64) {
+        if let Direction::Forward { traffic, .. } = self {
+            traffic[table].0 += original;
+            traffic[table].1 += encoded;
+        }
+    }
+
+    /// Hand over a decoded block that arrived from `src`.
+    fn deliver(&mut self, table: u32, src: usize, block: Matrix) {
+        match self {
+            Direction::Forward { slots, .. } => slots[table as usize] = Some(block),
+            Direction::Backward { entries, .. } => entries.push((table, src as u32, block)),
+        }
+    }
+}
+
+/// Per-iteration inputs of both embedding exchanges.
+struct ExchangeEnv<'a> {
+    resolved: &'a ResolvedCompression,
+    iter: usize,
+    dim: usize,
+    /// This iteration's batch shards, one per rank.
+    shards: &'a [MiniBatch],
+    cost: &'a CostModel,
+    schedule: Schedule<'a>,
+    /// Compressor tag per destination (carried in the collective metadata).
+    tags: &'a [u32],
+    profile: Option<&'a CodecProfile>,
+    device_throughput: Option<(f64, f64)>,
+}
+
+/// One embedding all-to-all: compress one chunk per peer straight into a
+/// pooled send lease, move the chunks by `env.schedule`, decompress what
+/// arrives — the paper's compress → all-to-all → decompress step, shared by
+/// the forward lookups and the backward gradients. Charges the direction's
+/// three ledger phases and closes them on `clock`.
+fn exchange(
+    env: &ExchangeEnv,
+    mut dir: Direction,
+    clock: &mut PhaseClock,
     ledger: &mut TimingLedger,
-    phase: &str,
-    ctx: &RankCtx,
-    scratch: &PipelineScratch,
-    marks: &mut AllocMarks,
-    extra_allocated: u64,
-) -> u64 {
-    let now = ctx.pool().stats();
-    let pool_delta = now.since(&marks.pool);
-    marks.pool = now;
-    let capacity_now = scratch.compress.capacity_bytes();
-    let scratch_growth = capacity_now.saturating_sub(marks.compress_capacity);
-    marks.compress_capacity = capacity_now;
-    let (fa, fr) = scratch.float_counters();
-    let float_allocated = fa - marks.float.0;
-    let float_reused = fr - marks.float.1;
-    marks.float = (fa, fr);
-    let allocated = pool_delta.allocated_bytes + scratch_growth + float_allocated + extra_allocated;
-    // The flag is read once per process; this diagnostic sits inside the
-    // very instrumentation that demonstrates the allocation-free loop.
-    static ALLOC_DEBUG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    let debug = *ALLOC_DEBUG.get_or_init(|| std::env::var("DLRM_ALLOC_DEBUG").is_ok());
-    if debug && allocated > 0 {
-        eprintln!(
-            "[alloc] rank {} phase {phase}: pool {} scratch {} float {} extra {}",
-            ctx.rank(),
-            pool_delta.allocated_bytes,
-            scratch_growth,
-            float_allocated,
-            extra_allocated
+    scratch: &mut PipelineScratch,
+    mut controller: Option<&mut ControllerState>,
+    tiers: &mut TierTotals,
+) {
+    let ctx = clock.ctx;
+    let (rank, world) = (ctx.rank(), ctx.world());
+    let [compress_phase, a2a_phase, decompress_phase] = dir.phases();
+    let resolved = env.resolved;
+    let raw = resolved.is_raw();
+    let tc = env.device_throughput.map(|(c, _)| c);
+    let td = env.device_throughput.map(|(_, d)| d);
+    let mut chunked = matches!(env.schedule, Schedule::Chunked).then(|| ctx.begin_chunked());
+    let header = chunked.as_ref().map_or(0, |_| CHUNK_HEADER_BYTES);
+    let hints = usize::from(!dir.is_forward());
+
+    // ── Compress: one `[count u32]` + blocks chunk per peer. Chunk codec
+    // seconds and sent bytes are kept in peer order for the overlap
+    // timeline.
+    scratch.send.clear();
+    scratch.chunk_codec_s.clear();
+    scratch.chunk_sent.clear();
+    scratch.chunk_recv.clear();
+    let stage_t0 = Instant::now();
+    let mut original = 0u64;
+    let mut profile_s = 0.0f64;
+    let mut lease_growth = 0u64;
+    for step in 0..world {
+        let (peer, _) = env.schedule.peers(rank, step, world);
+        let tables = dir.tables(peer);
+        let t0 = Instant::now();
+        // Lease capacity covers the worst case of every codec (≤ 3× the raw
+        // bytes plus per-block headers), so a chunk does not grow its lease
+        // mid-fill — sizes that fluctuate with the data would otherwise
+        // defeat the zero-allocation steady state.
+        let rows = dir.rows(env.shards, rank, peer).0;
+        let worst = header + 4 + tables.len() * (rows * env.dim * 12 + 708);
+        let capacity = scratch.capacity_hints[hints][peer].max(worst);
+        let mut buf = if chunked.is_some() {
+            ctx.take_chunk_buf(capacity)
+        } else {
+            ctx.take_buf(capacity)
+        };
+        let cap_at_take = buf.capacity();
+        buf.extend_from_slice(&(tables.len() as u32).to_le_bytes());
+        let mut chunk_original = 0u64;
+        let mut chunk_profile_s = 0.0f64;
+        for (local, &t) in tables.iter().enumerate() {
+            let block = dir.block(local, t, peer, world);
+            let encoded = write_block(
+                resolved,
+                t,
+                env.iter,
+                block.as_slice(),
+                env.dim,
+                &mut scratch.compress,
+                &mut buf,
+            );
+            let bytes = (block.len() * 4) as u64;
+            chunk_original += bytes;
+            chunk_profile_s += block_profile_seconds(env.profile, resolved, t, bytes, false);
+            dir.note_sent(t, bytes, encoded as u64);
+        }
+        // Growth past the leased capacity is an allocation the pool cannot
+        // see; a chunked send is re-leased at the right size first.
+        let (buf, grown) = if chunked.is_some() {
+            settle_chunk(ctx, buf, cap_at_take)
+        } else {
+            let grown = buf.capacity().saturating_sub(cap_at_take) as u64;
+            (buf, grown)
+        };
+        lease_growth += grown;
+        let hint = &mut scratch.capacity_hints[hints][peer];
+        *hint = (*hint).max(buf.len());
+        let codec_s = codec_seconds(
+            t0.elapsed().as_secs_f64(),
+            chunk_original,
+            tc,
+            env.profile.map(|_| chunk_profile_s),
         );
+        scratch.chunk_codec_s.push(if raw { 0.0 } else { codec_s });
+        scratch
+            .chunk_sent
+            .push(if peer == rank { 0 } else { buf.len() });
+        original += chunk_original;
+        profile_s += chunk_profile_s;
+        match chunked.as_mut() {
+            Some(ex) => ex.send(peer, buf, env.tags[peer]),
+            None => scratch.send.push(buf),
+        }
     }
-    ledger.add_allocated_bytes(phase, allocated);
-    ledger.add_reused_bytes(phase, pool_delta.reused_bytes + float_reused);
-    allocated
+    if matches!(env.schedule, Schedule::Sequential) {
+        // The raw byte conversion stands in for NCCL sending the original
+        // buffer, so its measured cost is not charged.
+        let elapsed = stage_t0.elapsed().as_secs_f64();
+        let measured = if raw { 0.0 } else { elapsed };
+        let analytic = env.profile.map(|_| profile_s);
+        charge_codec(ledger, compress_phase, measured, original, tc, analytic);
+    } else {
+        ledger.add_time(compress_phase, scratch.chunk_codec_s.iter().sum::<f64>());
+        ledger.add_bytes(compress_phase, original);
+    }
+    clock.close(compress_phase, ledger, scratch, lease_growth);
+
+    // ── Move the chunks (the chunked rotation already has them in flight
+    // and is charged once it retires).
+    match env.schedule {
+        Schedule::Sequential => {
+            let stats = ctx.all_to_all_var_pooled(
+                &mut scratch.send,
+                &mut scratch.recv,
+                env.tags,
+                &mut scratch.meta,
+            );
+            let (seconds, bottleneck) = var_a2a_seconds(env.cost, world, &stats);
+            ledger.add_time(a2a_phase, seconds);
+            ledger.add_bytes(a2a_phase, (stats.sent + stats.received) as u64);
+            if let Some(state) = controller.as_mut() {
+                state.add_wire(bottleneck, env.cost.bandwidth_time(bottleneck));
+            }
+            clock.close(a2a_phase, ledger, scratch, 0);
+        }
+        Schedule::Hierarchical {
+            topo,
+            tiered,
+            overlapped,
+        } => {
+            let bytes = ctx.all_to_all_hier_pooled(topo, &mut scratch.send, &mut scratch.recv);
+            let (ti, te) = charge_hier_a2a(
+                ledger,
+                a2a_phase,
+                tiered,
+                &bytes,
+                overlapped,
+                &scratch.chunk_codec_s,
+                &scratch.chunk_sent,
+            );
+            tiers.seconds.0 += ti;
+            tiers.seconds.1 += te;
+            tiers.bytes.0 += bytes.intra_total();
+            tiers.bytes.1 += bytes.inter_total();
+            if let Some(state) = controller.as_mut() {
+                let ex = bytes.exchange;
+                let inter_b = ex.sent.max(ex.received);
+                state.add_wire(inter_b, inter_b as f64 / tiered.node_fabric_bandwidth());
+                let intra_b = bytes.gather.sent.max(bytes.gather.received)
+                    + bytes.scatter.sent.max(bytes.scatter.received);
+                state.add_intra(intra_b, intra_b as f64 / topo.intra().alltoall_bandwidth);
+            }
+            clock.close(a2a_phase, ledger, scratch, 0);
+        }
+        Schedule::Chunked => {}
+    }
+
+    // ── Decompress every arrival (the chunked rotation retires chunks in
+    // matching order, each lease dropping back to its sender's pool at
+    // once; the others walk the received leases in place).
+    let mut recv = std::mem::take(&mut scratch.recv);
+    let mut decoded = 0u64;
+    let mut profile_d_s = 0.0f64;
+    let mut measured = 0.0f64;
+    for step in 0..world {
+        let (_, src) = env.schedule.peers(rank, step, world);
+        let lease;
+        let chunk: &[u8] = match chunked.as_mut() {
+            Some(ex) => {
+                lease = ex.recv(src).0;
+                scratch
+                    .chunk_recv
+                    .push(if src == rank { 0 } else { lease.len() });
+                &lease[CHUNK_HEADER_BYTES..]
+            }
+            None => &recv[src],
+        };
+        let rows = dir.rows(env.shards, rank, src).1;
+        let t0 = Instant::now();
+        for (table, payload) in block_slices(chunk) {
+            let mut values = scratch.take_floats(rows * env.dim);
+            resolved.decompress_into(table as usize, payload, &mut scratch.compress, &mut values);
+            let bytes = (values.len() * 4) as u64;
+            decoded += bytes;
+            profile_d_s +=
+                block_profile_seconds(env.profile, resolved, table as usize, bytes, true);
+            assert_eq!(
+                values.len(),
+                rows * env.dim,
+                "table {table} from rank {src}: bad payload size"
+            );
+            dir.deliver(table, src, Matrix::from_vec(rows, env.dim, values));
+        }
+        measured += t0.elapsed().as_secs_f64();
+    }
+    recv.clear(); // release the payload leases back to their pools
+    scratch.recv = recv;
+    charge_codec(
+        ledger,
+        decompress_phase,
+        if raw { 0.0 } else { measured },
+        decoded,
+        td,
+        env.profile.map(|_| profile_d_s),
+    );
+    match chunked {
+        None => clock.close(decompress_phase, ledger, scratch, 0),
+        Some(mut ex) => {
+            let stats = ex.finish();
+            debug_assert_eq!(stats.sent, scratch.chunk_sent.iter().sum::<usize>());
+            debug_assert_eq!(stats.received, scratch.chunk_recv.iter().sum::<usize>());
+            charge_overlapped_a2a(
+                ledger,
+                a2a_phase,
+                env.cost,
+                &scratch.chunk_codec_s,
+                &scratch.chunk_sent,
+                &scratch.chunk_recv,
+            );
+            if let Some(state) = controller.as_mut() {
+                let bottleneck = stats.sent.max(stats.received);
+                state.add_wire(bottleneck, env.cost.bandwidth_time(bottleneck));
+            }
+            clock.close_split(decompress_phase, measured, a2a_phase, ledger, scratch);
+        }
+    }
 }
 
 /// Snapshot one rank's share of a global checkpoint: the MLP replica (rank 0
@@ -1368,42 +1745,28 @@ impl ControllerState {
         let mut codec = (0.0f64, 0.0f64);
         let mut tables: Vec<TableObservation> = Vec::new();
         for chunk in recv.iter() {
-            let mut pos = 0usize;
-            let f = |p: &mut usize| {
-                let v = f64::from_le_bytes(chunk[*p..*p + 8].try_into().expect("f64 field"));
-                *p += 8;
-                v
-            };
-            loss_sum += f(&mut pos);
-            loss_n += u64::from_le_bytes(chunk[pos..pos + 8].try_into().expect("loss count"));
-            pos += 8;
-            wire.0 += f(&mut pos);
-            wire.1 += f(&mut pos);
-            intra.0 += f(&mut pos);
-            intra.1 += f(&mut pos);
-            codec.0 += f(&mut pos);
-            codec.1 += f(&mut pos);
-            let count = u64::from_le_bytes(chunk[pos..pos + 8].try_into().expect("count")) as usize;
-            pos += 8;
-            for _ in 0..count {
-                let table_id =
-                    u64::from_le_bytes(chunk[pos..pos + 8].try_into().expect("table id")) as usize;
-                pos += 8;
-                let original =
-                    u64::from_le_bytes(chunk[pos..pos + 8].try_into().expect("orig bytes"));
-                pos += 8;
-                let compressed =
-                    u64::from_le_bytes(chunk[pos..pos + 8].try_into().expect("comp bytes"));
-                pos += 8;
-                let mut candidate_ratios = Vec::with_capacity(self.candidates.len());
-                for _ in 0..self.candidates.len() {
-                    candidate_ratios.push(f(&mut pos));
-                }
+            // Every field is one little-endian 8-byte word, read in the
+            // order it was written above.
+            let mut words = chunk
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")));
+            let mut next = || words.next().expect("observation blob is complete");
+            loss_sum += f64::from_bits(next());
+            loss_n += next();
+            wire.0 += f64::from_bits(next());
+            wire.1 += f64::from_bits(next());
+            intra.0 += f64::from_bits(next());
+            intra.1 += f64::from_bits(next());
+            codec.0 += f64::from_bits(next());
+            codec.1 += f64::from_bits(next());
+            for _ in 0..next() {
                 tables.push(TableObservation {
-                    table_id,
-                    original_bytes: original,
-                    compressed_bytes: compressed,
-                    candidate_ratios,
+                    table_id: next() as usize,
+                    original_bytes: next(),
+                    compressed_bytes: next(),
+                    candidate_ratios: (0..self.candidates.len())
+                        .map(|_| f64::from_bits(next()))
+                        .collect(),
                 });
             }
         }
@@ -1515,8 +1878,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         TopologySetting::Flat => None,
         TopologySetting::Hierarchical(topo) => Some((*topo, topo.cost_model())),
     };
-    let mut tier_bytes = (0u64, 0u64);
-    let mut tier_seconds = (0.0f64, 0.0f64);
+    let mut tiers = TierTotals::default();
     // Dense-gradient (Stage 8) compression state: codec + error-feedback
     // residual + scratch, all per-rank and reused every iteration.
     let mut dense: Option<GradCompressor> = match &trainer.dense_compression {
@@ -1546,10 +1908,6 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     // phase and steady-state growth would break the zero-allocation test.
     let mut dense_capacity_mark = 0u64;
     let owned = partition.tables_of(rank).to_vec();
-    // Block counts of the backward chunks: how many tables each rank owns.
-    let tables_of_owner: Vec<u32> = (0..world)
-        .map(|o| partition.tables_of(o).len() as u32)
-        .collect();
 
     let model_config = DlrmConfig::from_dataset(dataset);
     let mut model = Dlrm::new_partial(model_config, trainer.seed, Some(&owned));
@@ -1560,8 +1918,6 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     let mut ledger = TimingLedger::new();
     let mut per_iteration = Vec::with_capacity(seg.end - seg.start);
     let mut fwd_traffic = vec![(0u64, 0u64); num_tables];
-    let codec_throughput_c = trainer.device_throughput.map(|(c, _)| c);
-    let codec_throughput_d = trainer.device_throughput.map(|(_, d)| d);
     let compute_scale = trainer.compute_time_scale;
     // The tag follows the compressor choice: constant under Static,
     // recomputed at reselection points under the runtime controller.
@@ -1578,14 +1934,6 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     let mut lookup_slots: Vec<Option<Matrix>> = Vec::new();
     let mut my_lookups: Vec<Matrix> = Vec::new();
     let mut grad_entries: Vec<(u32, u32, Matrix)> = Vec::new();
-    let mut take_caps: Vec<usize> = Vec::with_capacity(world);
-
-    let mut steady_allocated = 0u64;
-    let mut marks = AllocMarks {
-        pool: ctx.pool().stats(),
-        compress_capacity: scratch.compress.capacity_bytes(),
-        float: scratch.float_counters(),
-    };
 
     // ── Segment entry: fast-forward the shared batch stream so global
     // iteration k draws the same batch no matter how many segments precede
@@ -1644,62 +1992,74 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     // never allocates. The clock domain follows the executor — modeled
     // (deterministic) timestamps under the sequential gate, wall timestamps
     // under free-running threads.
-    let mut obs: Option<ObsState> = if trainer.obs.is_enabled() {
-        Some(ObsState::new(
+    let obs = trainer.obs.is_enabled().then(|| {
+        ObsState::new(
             rank,
             trainer.executor.clock_domain(),
             seg.end - seg.start,
             num_tables,
-        ))
-    } else {
-        None
-    };
+        )
+    });
 
     // Wall-clock phase accounting starts when the loop does: setup cost is
     // not training time.
-    let mut wall = WallClock::new();
+    let mut clock = PhaseClock::new(ctx, &scratch, obs);
 
-    for iter in seg.start..seg.end {
-        if let Some(o) = obs.as_mut() {
-            o.begin_iteration(iter, &ledger, &wall, &fwd_traffic, tier_bytes);
-        }
-        // Warm-up is per segment: a fresh executor (and so fresh pools)
-        // backs every segment, so the allocation amnesty restarts with it.
+    // The loop visits `seg.end` too, but only for the checkpoint cadence: a
+    // planned resize checkpoints the final state there, so the regrown
+    // world has an exact restore point at the boundary.
+    for iter in seg.start..=seg.end {
+        let exit = iter == seg.end;
         let local = iter - seg.start;
-        let counting = local >= WARMUP_ITERATIONS;
+        if !exit {
+            if let Some(o) = clock.obs.as_mut() {
+                o.begin_iteration(iter, &ledger, &clock.wall, &fwd_traffic, tiers.bytes);
+            }
+            // Warm-up is per segment: a fresh executor (and so fresh pools)
+            // backs every segment, so the allocation amnesty restarts with
+            // it.
+            clock.counting = local >= WARMUP_ITERATIONS;
+        }
         // ── Checkpoint cadence: snapshot the state this iteration *starts*
         // with (model replica, owned shards, EF residual), encoded through
         // the checkpoint codec, with the store write charged at its modeled
         // bandwidth.
-        if let Some(spec) = seg.checkpoint.as_ref() {
-            if iter.is_multiple_of(spec.every) {
-                let codec = ckpt_codec.as_mut().expect("codec built with the spec");
-                let part = take_checkpoint(
-                    iter,
-                    rank,
-                    &model,
-                    &owned,
-                    dense.as_ref(),
-                    codec,
-                    &mut ckpt_flat,
-                );
-                let write_s = part.write_seconds(spec.write_bandwidth);
-                checkpoints_taken += 1;
-                checkpoint_original_bytes += part.original_bytes();
-                checkpoint_encoded_bytes += part.encoded_bytes();
-                checkpoint_write_seconds += write_s;
-                ledger.add_time(
-                    phases::CHECKPOINT,
-                    part.encode_seconds * compute_scale + write_s,
-                );
-                ledger.add_bytes(phases::CHECKPOINT, part.encoded_bytes());
-                if let Some(o) = obs.as_mut() {
-                    o.note_checkpoint(part.encoded_bytes(), write_s, &ledger);
-                }
-                last_checkpoint = Some(part);
-                obs_mark(&mut obs, phases::CHECKPOINT, &ledger, ctx);
-                wall.mark(phases::CHECKPOINT);
+        let due = |spec: &CheckpointSpec| {
+            if exit {
+                seg.checkpoint_at_end
+            } else {
+                iter.is_multiple_of(spec.every)
             }
+        };
+        if let Some(spec) = seg.checkpoint.as_ref().filter(|spec| due(spec)) {
+            let codec = ckpt_codec.as_mut().expect("codec built with the spec");
+            let part = take_checkpoint(
+                iter,
+                rank,
+                &model,
+                &owned,
+                dense.as_ref(),
+                codec,
+                &mut ckpt_flat,
+            );
+            let write_s = part.write_seconds(spec.write_bandwidth);
+            checkpoints_taken += 1;
+            checkpoint_original_bytes += part.original_bytes();
+            checkpoint_encoded_bytes += part.encoded_bytes();
+            checkpoint_write_seconds += write_s;
+            ledger.add_time(
+                phases::CHECKPOINT,
+                part.encode_seconds * compute_scale + write_s,
+            );
+            ledger.add_bytes(phases::CHECKPOINT, part.encoded_bytes());
+            if let Some(o) = clock.obs.as_mut() {
+                o.note_checkpoint(part.encoded_bytes(), write_s, &ledger);
+            }
+            last_checkpoint = Some(part);
+            clock.close(phases::CHECKPOINT, &mut ledger, &scratch, 0);
+        }
+        if exit {
+            break;
         }
         // The link (and therefore every network charge) in effect this
         // iteration: the static network without a trace — bit for bit the
@@ -1709,7 +2069,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         // collective); factor 1.0 skips the rebuild entirely, keeping the
         // no-fault path bit-identical.
         let straggler = plan.map_or(1.0, |p| p.straggler_factor(iter));
-        if let Some(o) = obs.as_mut() {
+        if let Some(o) = clock.obs.as_mut() {
             o.note_straggler(straggler, &ledger);
         }
         let cost = {
@@ -1759,24 +2119,14 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                     hier_iter.is_some(),
                     plan.is_some_and(|p| p.degraded_at(iter)),
                 );
-                let a = note_alloc(
-                    &mut ledger,
-                    phases::CONTROLLER,
-                    ctx,
-                    &scratch,
-                    &mut marks,
-                    0,
-                );
-                steady_allocated += if counting { a } else { 0 };
-                if let Some(o) = obs.as_mut() {
+                if let Some(o) = clock.obs.as_mut() {
                     if let Some(sel) = state.ctl.log().last() {
                         if sel.iteration == iter {
                             o.note_reselection(sel, &ledger);
                         }
                     }
                 }
-                obs_mark(&mut obs, phases::CONTROLLER, &ledger, ctx);
-                wall.mark(phases::CONTROLLER);
+                clock.close(phases::CONTROLLER, &mut ledger, &scratch, 0);
             }
         }
         let global_batch = generator.next_batch(trainer.global_batch);
@@ -1793,497 +2143,39 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             }
         }
         ledger.add_time(phases::LOOKUP, t0.elapsed().as_secs_f64() * compute_scale);
-        // Attribute lookup-storage recycler activity to LOOKUP, not to the
-        // compress phase that happens to run the next accounting mark.
-        let a = note_alloc(&mut ledger, phases::LOOKUP, ctx, &scratch, &mut marks, 0);
-        steady_allocated += if counting { a } else { 0 };
-        obs_mark(&mut obs, phases::LOOKUP, &ledger, ctx);
-        wall.mark(phases::LOOKUP);
+        clock.close(phases::LOOKUP, &mut ledger, &scratch, 0);
 
         // ── Stages 2–4: compress per-destination chunks, move them through
-        // the all-to-all, decompress the lookups for my shard. With overlap
-        // enabled this runs as one double-buffered chunked pipeline
-        // (compress chunk k+1 while chunk k is on the virtual wire);
-        // otherwise as the sequential compress → exchange → decompress
-        // schedule. Both produce bit-identical lookups — only the charged
-        // time differs.
+        // the all-to-all, decompress the lookups for my shard. Every
+        // schedule produces bit-identical lookups — only the charged time
+        // differs.
+        let env = ExchangeEnv {
+            resolved: &resolved,
+            iter,
+            dim,
+            shards: &shards,
+            cost: &cost,
+            schedule: Schedule::new(overlapped, hier_iter.as_ref()),
+            tags: &tags,
+            profile,
+            device_throughput: trainer.device_throughput,
+        };
         lookup_slots.clear();
         lookup_slots.resize_with(num_tables, || None);
-        if let Some((topo, tiered)) = &hier_iter {
-            // Hierarchical route: compress per-destination chunks
-            // (destination-major, so per-chunk codec seconds can feed the
-            // overlap timeline; block order within a chunk matches the flat
-            // paths, so chunk bytes are identical), move them through the
-            // two-level collective, decompress. Only the route and the
-            // charged time differ from the flat schedules.
-            scratch.chunk_codec_s.clear();
-            scratch.chunk_sent.clear();
-            scratch.send.clear();
-            take_caps.clear();
-            let mut fwd_original_bytes = 0u64;
-            for (dst, shard) in shards.iter().enumerate() {
-                let t0 = Instant::now();
-                let worst = 4 + owned.len() * (shard.batch_size() * dim * 12 + 708);
-                let mut buf = ctx.take_buf(scratch.chunk_capacity_hint[dst].max(worst));
-                take_caps.push(buf.capacity());
-                buf.extend_from_slice(&(owned.len() as u32).to_le_bytes());
-                let mut chunk_original = 0u64;
-                let mut chunk_profile_s = 0.0f64;
-                for (local_idx, &t) in owned.iter().enumerate() {
-                    let matrix = &lookup_matrices[local_idx * world + dst];
-                    let payload_len = write_block(
-                        &resolved,
-                        t,
-                        iter,
-                        matrix.as_slice(),
-                        dim,
-                        &mut scratch.compress,
-                        &mut buf,
-                    );
-                    chunk_original += (matrix.len() * 4) as u64;
-                    chunk_profile_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        t,
-                        (matrix.len() * 4) as u64,
-                        false,
-                    );
-                    fwd_traffic[t].0 += (matrix.len() * 4) as u64;
-                    fwd_traffic[t].1 += payload_len as u64;
-                }
-                scratch.chunk_codec_s.push(chunk_codec_seconds(
-                    resolved.is_raw(),
-                    t0.elapsed().as_secs_f64(),
-                    chunk_original,
-                    codec_throughput_c,
-                    profile.map(|_| chunk_profile_s),
-                ));
-                scratch
-                    .chunk_sent
-                    .push(if dst == rank { 0 } else { buf.len() });
-                fwd_original_bytes += chunk_original;
-                scratch.send.push(buf);
-            }
-            let lease_growth =
-                settle_send_leases(&scratch.send, &take_caps, &mut scratch.chunk_capacity_hint);
-            ledger.add_time(
-                phases::FWD_COMPRESS,
-                scratch.chunk_codec_s.iter().sum::<f64>(),
-            );
-            ledger.add_bytes(phases::FWD_COMPRESS, fwd_original_bytes);
-            let a = note_alloc(
-                &mut ledger,
-                phases::FWD_COMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                lease_growth,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_COMPRESS, &ledger, ctx);
-            wall.mark(phases::FWD_COMPRESS);
-
-            let hier_bytes = ctx.all_to_all_hier_pooled(topo, &mut scratch.send, &mut scratch.recv);
-            let (ti, te) = charge_hier_a2a(
-                &mut ledger,
-                phases::FWD_A2A,
-                tiered,
-                &hier_bytes,
-                overlapped,
-                &scratch.chunk_codec_s,
-                &scratch.chunk_sent,
-            );
-            tier_seconds.0 += ti;
-            tier_seconds.1 += te;
-            tier_bytes.0 += hier_bytes.intra_total();
-            tier_bytes.1 += hier_bytes.inter_total();
-            if let Some(state) = controller.as_mut() {
-                let ex = hier_bytes.exchange;
-                let inter_b = ex.sent.max(ex.received);
-                state.add_wire(inter_b, inter_b as f64 / tiered.node_fabric_bandwidth());
-                let intra_b = hier_bytes.gather.sent.max(hier_bytes.gather.received)
-                    + hier_bytes.scatter.sent.max(hier_bytes.scatter.received);
-                state.add_intra(intra_b, intra_b as f64 / topo.intra().alltoall_bandwidth);
-            }
-            let a = note_alloc(&mut ledger, phases::FWD_A2A, ctx, &scratch, &mut marks, 0);
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_A2A, &ledger, ctx);
-            wall.mark(phases::FWD_A2A);
-
-            let t0 = Instant::now();
-            let mut decompressed_bytes = 0u64;
-            let mut profile_d_s = 0.0f64;
-            let recv = std::mem::take(&mut scratch.recv);
-            for chunk in &recv {
-                for (table, payload) in block_slices(chunk) {
-                    let rows = my_shard.batch_size();
-                    let mut values = scratch.take_floats(rows * dim);
-                    resolved.decompress_into(
-                        table as usize,
-                        payload,
-                        &mut scratch.compress,
-                        &mut values,
-                    );
-                    decompressed_bytes += (values.len() * 4) as u64;
-                    profile_d_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        table as usize,
-                        (values.len() * 4) as u64,
-                        true,
-                    );
-                    assert_eq!(values.len(), rows * dim, "table {table}: bad payload size");
-                    lookup_slots[table as usize] = Some(Matrix::from_vec(rows, dim, values));
-                }
-            }
-            let mut recv = recv;
-            recv.clear(); // release the payload leases back to their pools
-            scratch.recv = recv;
-            charge_codec(
-                &mut ledger,
-                phases::FWD_DECOMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    t0.elapsed().as_secs_f64()
-                },
-                decompressed_bytes,
-                codec_throughput_d,
-                profile.map(|_| profile_d_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::FWD_DECOMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                0,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_DECOMPRESS, &ledger, ctx);
-            wall.mark(phases::FWD_DECOMPRESS);
-        } else if overlapped {
-            // Chunk k goes to destination (rank+k) and arrives from source
-            // (rank−k); each chunk is begin-sent the moment its compression
-            // finishes, so the codec timeline runs ahead of the wire.
-            scratch.chunk_codec_s.clear();
-            scratch.chunk_sent.clear();
-            scratch.chunk_recv.clear();
-            let mut exchange = ctx.begin_chunked();
-            let mut fwd_original_bytes = 0u64;
-            let mut lease_growth = 0u64;
-            for step in 0..world {
-                let dst = (rank + step) % world;
-                let shard = &shards[dst];
-                let t0 = Instant::now();
-                // Lease capacity covers the worst case of every codec (≤ 3×
-                // the raw bytes plus per-block headers) so chunks never grow
-                // their lease mid-fill; `settle_chunk` retries if one does.
-                let worst =
-                    CHUNK_HEADER_BYTES + 4 + owned.len() * (shard.batch_size() * dim * 12 + 708);
-                let mut buf = ctx.take_chunk_buf(scratch.chunk_capacity_hint[dst].max(worst));
-                let cap_at_take = buf.capacity();
-                buf.extend_from_slice(&(owned.len() as u32).to_le_bytes());
-                let mut chunk_original = 0u64;
-                let mut chunk_profile_s = 0.0f64;
-                for (local_idx, &t) in owned.iter().enumerate() {
-                    let matrix = &lookup_matrices[local_idx * world + dst];
-                    let payload_len = write_block(
-                        &resolved,
-                        t,
-                        iter,
-                        matrix.as_slice(),
-                        dim,
-                        &mut scratch.compress,
-                        &mut buf,
-                    );
-                    chunk_original += (matrix.len() * 4) as u64;
-                    chunk_profile_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        t,
-                        (matrix.len() * 4) as u64,
-                        false,
-                    );
-                    fwd_traffic[t].0 += (matrix.len() * 4) as u64;
-                    fwd_traffic[t].1 += payload_len as u64;
-                }
-                let (buf, grown) = settle_chunk(ctx, buf, cap_at_take);
-                lease_growth += grown;
-                let hint = &mut scratch.chunk_capacity_hint[dst];
-                *hint = (*hint).max(buf.len());
-                scratch.chunk_codec_s.push(chunk_codec_seconds(
-                    resolved.is_raw(),
-                    t0.elapsed().as_secs_f64(),
-                    chunk_original,
-                    codec_throughput_c,
-                    profile.map(|_| chunk_profile_s),
-                ));
-                scratch
-                    .chunk_sent
-                    .push(if dst == rank { 0 } else { buf.len() });
-                fwd_original_bytes += chunk_original;
-                exchange.send(dst, buf, tags[dst]);
-            }
-            ledger.add_time(
-                phases::FWD_COMPRESS,
-                scratch.chunk_codec_s.iter().sum::<f64>(),
-            );
-            ledger.add_bytes(phases::FWD_COMPRESS, fwd_original_bytes);
-            let a = note_alloc(
-                &mut ledger,
-                phases::FWD_COMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                lease_growth,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_COMPRESS, &ledger, ctx);
-            wall.mark(phases::FWD_COMPRESS);
-
-            // Retire chunks in matching rotation, decompressing each as it
-            // completes; the lease drops back to its sender's pool at once.
-            let mut decompressed_bytes = 0u64;
-            let mut profile_d_s = 0.0f64;
-            let mut decompress_measured = 0.0f64;
-            for step in 0..world {
-                let src = (rank + world - step) % world;
-                let (chunk, _payload_len, _tag) = exchange.recv(src);
-                scratch
-                    .chunk_recv
-                    .push(if src == rank { 0 } else { chunk.len() });
-                let t0 = Instant::now();
-                for (table, payload) in block_slices(&chunk[CHUNK_HEADER_BYTES..]) {
-                    let rows = my_shard.batch_size();
-                    let mut values = scratch.take_floats(rows * dim);
-                    resolved.decompress_into(
-                        table as usize,
-                        payload,
-                        &mut scratch.compress,
-                        &mut values,
-                    );
-                    decompressed_bytes += (values.len() * 4) as u64;
-                    profile_d_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        table as usize,
-                        (values.len() * 4) as u64,
-                        true,
-                    );
-                    assert_eq!(values.len(), rows * dim, "table {table}: bad payload size");
-                    lookup_slots[table as usize] = Some(Matrix::from_vec(rows, dim, values));
-                }
-                decompress_measured += t0.elapsed().as_secs_f64();
-            }
-            let stats = exchange.finish();
-            debug_assert_eq!(stats.sent, scratch.chunk_sent.iter().sum::<usize>());
-            debug_assert_eq!(stats.received, scratch.chunk_recv.iter().sum::<usize>());
-            let _ = stats;
-            charge_codec(
-                &mut ledger,
-                phases::FWD_DECOMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    decompress_measured
-                },
-                decompressed_bytes,
-                codec_throughput_d,
-                profile.map(|_| profile_d_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::FWD_DECOMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                0,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            charge_overlapped_a2a(
-                &mut ledger,
-                phases::FWD_A2A,
-                &cost,
-                &scratch.chunk_codec_s,
-                &scratch.chunk_sent,
-                &scratch.chunk_recv,
-            );
-            if let Some(state) = controller.as_mut() {
-                let bottleneck = scratch
-                    .chunk_sent
-                    .iter()
-                    .sum::<usize>()
-                    .max(scratch.chunk_recv.iter().sum::<usize>());
-                state.add_wire(bottleneck, cost.bandwidth_time(bottleneck));
-            }
-            let a = note_alloc(&mut ledger, phases::FWD_A2A, ctx, &scratch, &mut marks, 0);
-            steady_allocated += if counting { a } else { 0 };
-            if let Some(o) = obs.as_mut() {
-                o.sample_depth(ctx);
-                o.mark_split(
-                    phases::FWD_DECOMPRESS,
-                    decompress_measured,
-                    phases::FWD_A2A,
-                    &ledger,
-                );
-            }
-            wall.mark_split(phases::FWD_DECOMPRESS, decompress_measured, phases::FWD_A2A);
-        } else {
-            // ── Stage 2: compress per-destination chunks *directly into*
-            // pooled send leases ([count][table][len][payload]… blocks).
-            let t0 = Instant::now();
-            scratch.send.clear();
-            take_caps.clear();
-            for (shard, hint) in shards.iter().zip(scratch.chunk_capacity_hint.iter()) {
-                // Lease capacity covers the worst case of every codec (≤ 3×
-                // the raw bytes plus per-block headers), so a compressed
-                // chunk can never grow the buffer mid-fill — sizes that
-                // fluctuate with the data would otherwise defeat the
-                // zero-allocation steady state.
-                let worst = 4 + owned.len() * (shard.batch_size() * dim * 12 + 708);
-                let mut buf = ctx.take_buf((*hint).max(worst));
-                take_caps.push(buf.capacity());
-                buf.extend_from_slice(&(owned.len() as u32).to_le_bytes());
-                scratch.send.push(buf);
-            }
-            let mut fwd_original_bytes = 0u64;
-            let mut profile_c_s = 0.0f64;
-            for (local_idx, &t) in owned.iter().enumerate() {
-                for dst in 0..world {
-                    let matrix = &lookup_matrices[local_idx * world + dst];
-                    let payload_len = write_block(
-                        &resolved,
-                        t,
-                        iter,
-                        matrix.as_slice(),
-                        dim,
-                        &mut scratch.compress,
-                        &mut scratch.send[dst],
-                    );
-                    fwd_original_bytes += (matrix.len() * 4) as u64;
-                    profile_c_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        t,
-                        (matrix.len() * 4) as u64,
-                        false,
-                    );
-                    fwd_traffic[t].0 += (matrix.len() * 4) as u64;
-                    fwd_traffic[t].1 += payload_len as u64;
-                }
-            }
-            let lease_growth =
-                settle_send_leases(&scratch.send, &take_caps, &mut scratch.chunk_capacity_hint);
-            charge_codec(
-                &mut ledger,
-                phases::FWD_COMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    t0.elapsed().as_secs_f64()
-                },
-                fwd_original_bytes,
-                codec_throughput_c,
-                profile.map(|_| profile_c_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::FWD_COMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                lease_growth,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_COMPRESS, &ledger, ctx);
-            wall.mark(phases::FWD_COMPRESS);
-
-            // ── Stage 3: metadata + payload all-to-all over pooled buffers.
-            let stats = ctx.all_to_all_var_pooled(
-                &mut scratch.send,
-                &mut scratch.recv,
-                &tags,
-                &mut scratch.meta,
-            );
-            // `stats` includes the metadata phase's records, whose bandwidth
-            // cost `metadata_time` already charges — the payload term must
-            // not count those bytes a second time.
-            let meta_bytes = world.saturating_sub(1) * METADATA_RECORD_BYTES;
-            let fwd_a2a_time = cost.metadata_time(world.saturating_sub(1), METADATA_RECORD_BYTES)
-                + cost.alltoall_time(
-                    stats.sent.saturating_sub(meta_bytes),
-                    stats.received.saturating_sub(meta_bytes),
-                );
-            ledger.add_time(phases::FWD_A2A, fwd_a2a_time);
-            ledger.add_bytes(phases::FWD_A2A, (stats.sent + stats.received) as u64);
-            if let Some(state) = controller.as_mut() {
-                let bottleneck = stats
-                    .sent
-                    .saturating_sub(meta_bytes)
-                    .max(stats.received.saturating_sub(meta_bytes));
-                state.add_wire(bottleneck, cost.bandwidth_time(bottleneck));
-            }
-            let a = note_alloc(&mut ledger, phases::FWD_A2A, ctx, &scratch, &mut marks, 0);
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_A2A, &ledger, ctx);
-            wall.mark(phases::FWD_A2A);
-
-            // ── Stage 4: decompress the lookups for my shard (recv leases
-            // are walked in place; float storage comes from the recycler).
-            let t0 = Instant::now();
-            let mut decompressed_bytes = 0u64;
-            let mut profile_d_s = 0.0f64;
-            let recv = std::mem::take(&mut scratch.recv);
-            for chunk in &recv {
-                for (table, payload) in block_slices(chunk) {
-                    let rows = my_shard.batch_size();
-                    let mut values = scratch.take_floats(rows * dim);
-                    resolved.decompress_into(
-                        table as usize,
-                        payload,
-                        &mut scratch.compress,
-                        &mut values,
-                    );
-                    decompressed_bytes += (values.len() * 4) as u64;
-                    profile_d_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        table as usize,
-                        (values.len() * 4) as u64,
-                        true,
-                    );
-                    assert_eq!(values.len(), rows * dim, "table {table}: bad payload size");
-                    lookup_slots[table as usize] = Some(Matrix::from_vec(rows, dim, values));
-                }
-            }
-            let mut recv = recv;
-            recv.clear(); // release the payload leases back to their pools
-            scratch.recv = recv;
-            charge_codec(
-                &mut ledger,
-                phases::FWD_DECOMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    t0.elapsed().as_secs_f64()
-                },
-                decompressed_bytes,
-                codec_throughput_d,
-                profile.map(|_| profile_d_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::FWD_DECOMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                0,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::FWD_DECOMPRESS, &ledger, ctx);
-            wall.mark(phases::FWD_DECOMPRESS);
-        }
+        exchange(
+            &env,
+            Direction::Forward {
+                owned: &owned,
+                lookups: &lookup_matrices,
+                slots: &mut lookup_slots,
+                traffic: &mut fwd_traffic,
+            },
+            &mut clock,
+            &mut ledger,
+            &mut scratch,
+            controller.as_mut(),
+            &mut tiers,
+        );
         my_lookups.clear();
         my_lookups.extend(
             lookup_slots
@@ -2301,14 +2193,12 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             state.loss_sum += per_iteration.last().expect("just pushed").loss;
             state.loss_n += 1;
         }
-        obs_mark(&mut obs, phases::MLP_FWD, &ledger, ctx);
-        wall.mark(phases::MLP_FWD);
+        clock.close(phases::MLP_FWD, &mut ledger, &scratch, 0);
 
         let t0 = Instant::now();
         let grads = model.backward_dense(&cache, &my_shard.labels);
         ledger.add_time(phases::MLP_BWD, t0.elapsed().as_secs_f64() * compute_scale);
-        obs_mark(&mut obs, phases::MLP_BWD, &ledger, ctx);
-        wall.mark(phases::MLP_BWD);
+        clock.close(phases::MLP_BWD, &mut ledger, &scratch, 0);
 
         // ── Stages 6–7a: compress embedding gradients, send them home, and
         // decompress them on the owning rank — the backward mirror of
@@ -2334,456 +2224,21 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 &mut ledger,
                 compute_scale,
             );
-            obs_mark(&mut obs, phases::EMB_UPDATE, &ledger, ctx);
-            wall.mark(phases::EMB_UPDATE);
-        } else if let Some((topo, tiered)) = &hier_iter {
-            scratch.chunk_codec_s.clear();
-            scratch.chunk_sent.clear();
-            scratch.send.clear();
-            take_caps.clear();
-            let mut bwd_bytes = 0u64;
-            for (owner, &table_count) in tables_of_owner.iter().enumerate() {
-                let t0 = Instant::now();
-                let worst = 4 + table_count as usize * (my_shard.batch_size() * dim * 12 + 708);
-                let mut buf = ctx.take_buf(scratch.bwd_chunk_capacity_hint[owner].max(worst));
-                take_caps.push(buf.capacity());
-                buf.extend_from_slice(&table_count.to_le_bytes());
-                let mut chunk_original = 0u64;
-                let mut chunk_profile_s = 0.0f64;
-                for &t in partition.tables_of(owner) {
-                    let grad = &grads.embedding_grads[t];
-                    write_block(
-                        &resolved,
-                        t,
-                        iter,
-                        grad.as_slice(),
-                        dim,
-                        &mut scratch.compress,
-                        &mut buf,
-                    );
-                    chunk_original += (grad.len() * 4) as u64;
-                    chunk_profile_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        t,
-                        (grad.len() * 4) as u64,
-                        false,
-                    );
-                }
-                scratch.chunk_codec_s.push(chunk_codec_seconds(
-                    resolved.is_raw(),
-                    t0.elapsed().as_secs_f64(),
-                    chunk_original,
-                    codec_throughput_c,
-                    profile.map(|_| chunk_profile_s),
-                ));
-                scratch
-                    .chunk_sent
-                    .push(if owner == rank { 0 } else { buf.len() });
-                bwd_bytes += chunk_original;
-                scratch.send.push(buf);
-            }
-            let lease_growth = settle_send_leases(
-                &scratch.send,
-                &take_caps,
-                &mut scratch.bwd_chunk_capacity_hint,
-            );
-            ledger.add_time(
-                phases::BWD_COMPRESS,
-                scratch.chunk_codec_s.iter().sum::<f64>(),
-            );
-            ledger.add_bytes(phases::BWD_COMPRESS, bwd_bytes);
-            let a = note_alloc(
-                &mut ledger,
-                phases::BWD_COMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                lease_growth,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_COMPRESS, &ledger, ctx);
-            wall.mark(phases::BWD_COMPRESS);
-
-            let hier_bytes = ctx.all_to_all_hier_pooled(topo, &mut scratch.send, &mut scratch.recv);
-            let (ti, te) = charge_hier_a2a(
-                &mut ledger,
-                phases::BWD_A2A,
-                tiered,
-                &hier_bytes,
-                overlapped,
-                &scratch.chunk_codec_s,
-                &scratch.chunk_sent,
-            );
-            tier_seconds.0 += ti;
-            tier_seconds.1 += te;
-            tier_bytes.0 += hier_bytes.intra_total();
-            tier_bytes.1 += hier_bytes.inter_total();
-            if let Some(state) = controller.as_mut() {
-                let ex = hier_bytes.exchange;
-                let inter_b = ex.sent.max(ex.received);
-                state.add_wire(inter_b, inter_b as f64 / tiered.node_fabric_bandwidth());
-                let intra_b = hier_bytes.gather.sent.max(hier_bytes.gather.received)
-                    + hier_bytes.scatter.sent.max(hier_bytes.scatter.received);
-                state.add_intra(intra_b, intra_b as f64 / topo.intra().alltoall_bandwidth);
-            }
-            let a = note_alloc(&mut ledger, phases::BWD_A2A, ctx, &scratch, &mut marks, 0);
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_A2A, &ledger, ctx);
-            wall.mark(phases::BWD_A2A);
-
-            let t0 = Instant::now();
-            let mut bwd_decompressed = 0u64;
-            let mut profile_d_s = 0.0f64;
-            let recv = std::mem::take(&mut scratch.recv);
-            for (src, chunk) in recv.iter().enumerate() {
-                for (table, payload) in block_slices(chunk) {
-                    let rows = shards[src].batch_size();
-                    let mut values = scratch.take_floats(rows * dim);
-                    resolved.decompress_into(
-                        table as usize,
-                        payload,
-                        &mut scratch.compress,
-                        &mut values,
-                    );
-                    bwd_decompressed += (values.len() * 4) as u64;
-                    profile_d_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        table as usize,
-                        (values.len() * 4) as u64,
-                        true,
-                    );
-                    assert_eq!(values.len(), rows * dim, "grad for table {table}: bad size");
-                    grad_entries.push((table, src as u32, Matrix::from_vec(rows, dim, values)));
-                }
-            }
-            let mut recv = recv;
-            recv.clear();
-            scratch.recv = recv;
-            charge_codec(
-                &mut ledger,
-                phases::BWD_DECOMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    t0.elapsed().as_secs_f64()
-                },
-                bwd_decompressed,
-                codec_throughput_d,
-                profile.map(|_| profile_d_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::BWD_DECOMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                0,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_DECOMPRESS, &ledger, ctx);
-            wall.mark(phases::BWD_DECOMPRESS);
-        } else if overlapped {
-            scratch.chunk_codec_s.clear();
-            scratch.chunk_sent.clear();
-            scratch.chunk_recv.clear();
-            let mut exchange = ctx.begin_chunked();
-            let mut bwd_bytes = 0u64;
-            let mut lease_growth = 0u64;
-            for step in 0..world {
-                let owner = (rank + step) % world;
-                let table_count = tables_of_owner[owner];
-                let t0 = Instant::now();
-                let worst = CHUNK_HEADER_BYTES
-                    + 4
-                    + table_count as usize * (my_shard.batch_size() * dim * 12 + 708);
-                let mut buf = ctx.take_chunk_buf(scratch.bwd_chunk_capacity_hint[owner].max(worst));
-                let cap_at_take = buf.capacity();
-                buf.extend_from_slice(&table_count.to_le_bytes());
-                let mut chunk_original = 0u64;
-                let mut chunk_profile_s = 0.0f64;
-                // `tables_of` is sorted ascending, so blocks land in the
-                // same order the sequential path writes them.
-                for &t in partition.tables_of(owner) {
-                    let grad = &grads.embedding_grads[t];
-                    write_block(
-                        &resolved,
-                        t,
-                        iter,
-                        grad.as_slice(),
-                        dim,
-                        &mut scratch.compress,
-                        &mut buf,
-                    );
-                    chunk_original += (grad.len() * 4) as u64;
-                    chunk_profile_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        t,
-                        (grad.len() * 4) as u64,
-                        false,
-                    );
-                }
-                let (buf, grown) = settle_chunk(ctx, buf, cap_at_take);
-                lease_growth += grown;
-                let hint = &mut scratch.bwd_chunk_capacity_hint[owner];
-                *hint = (*hint).max(buf.len());
-                scratch.chunk_codec_s.push(chunk_codec_seconds(
-                    resolved.is_raw(),
-                    t0.elapsed().as_secs_f64(),
-                    chunk_original,
-                    codec_throughput_c,
-                    profile.map(|_| chunk_profile_s),
-                ));
-                scratch
-                    .chunk_sent
-                    .push(if owner == rank { 0 } else { buf.len() });
-                bwd_bytes += chunk_original;
-                exchange.send(owner, buf, tags[owner]);
-            }
-            ledger.add_time(
-                phases::BWD_COMPRESS,
-                scratch.chunk_codec_s.iter().sum::<f64>(),
-            );
-            ledger.add_bytes(phases::BWD_COMPRESS, bwd_bytes);
-            let a = note_alloc(
-                &mut ledger,
-                phases::BWD_COMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                lease_growth,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_COMPRESS, &ledger, ctx);
-            wall.mark(phases::BWD_COMPRESS);
-
-            let mut bwd_decompressed = 0u64;
-            let mut profile_d_s = 0.0f64;
-            let mut decompress_measured = 0.0f64;
-            for step in 0..world {
-                let src = (rank + world - step) % world;
-                let (chunk, _payload_len, _tag) = exchange.recv(src);
-                scratch
-                    .chunk_recv
-                    .push(if src == rank { 0 } else { chunk.len() });
-                let t0 = Instant::now();
-                for (table, payload) in block_slices(&chunk[CHUNK_HEADER_BYTES..]) {
-                    let rows = shards[src].batch_size();
-                    let mut values = scratch.take_floats(rows * dim);
-                    resolved.decompress_into(
-                        table as usize,
-                        payload,
-                        &mut scratch.compress,
-                        &mut values,
-                    );
-                    bwd_decompressed += (values.len() * 4) as u64;
-                    profile_d_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        table as usize,
-                        (values.len() * 4) as u64,
-                        true,
-                    );
-                    assert_eq!(values.len(), rows * dim, "grad for table {table}: bad size");
-                    grad_entries.push((table, src as u32, Matrix::from_vec(rows, dim, values)));
-                }
-                decompress_measured += t0.elapsed().as_secs_f64();
-            }
-            let stats = exchange.finish();
-            debug_assert_eq!(stats.sent, scratch.chunk_sent.iter().sum::<usize>());
-            debug_assert_eq!(stats.received, scratch.chunk_recv.iter().sum::<usize>());
-            let _ = stats;
-            charge_codec(
-                &mut ledger,
-                phases::BWD_DECOMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    decompress_measured
-                },
-                bwd_decompressed,
-                codec_throughput_d,
-                profile.map(|_| profile_d_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::BWD_DECOMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                0,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            charge_overlapped_a2a(
-                &mut ledger,
-                phases::BWD_A2A,
-                &cost,
-                &scratch.chunk_codec_s,
-                &scratch.chunk_sent,
-                &scratch.chunk_recv,
-            );
-            if let Some(state) = controller.as_mut() {
-                let bottleneck = scratch
-                    .chunk_sent
-                    .iter()
-                    .sum::<usize>()
-                    .max(scratch.chunk_recv.iter().sum::<usize>());
-                state.add_wire(bottleneck, cost.bandwidth_time(bottleneck));
-            }
-            let a = note_alloc(&mut ledger, phases::BWD_A2A, ctx, &scratch, &mut marks, 0);
-            steady_allocated += if counting { a } else { 0 };
-            if let Some(o) = obs.as_mut() {
-                o.sample_depth(ctx);
-                o.mark_split(
-                    phases::BWD_DECOMPRESS,
-                    decompress_measured,
-                    phases::BWD_A2A,
-                    &ledger,
-                );
-            }
-            wall.mark_split(phases::BWD_DECOMPRESS, decompress_measured, phases::BWD_A2A);
+            clock.close(phases::EMB_UPDATE, &mut ledger, &scratch, 0);
         } else {
-            // ── Stage 6: compress embedding gradients and send them home,
-            // again straight into pooled send leases.
-            let t0 = Instant::now();
-            scratch.send.clear();
-            take_caps.clear();
-            for (owner, &table_count) in tables_of_owner.iter().enumerate() {
-                let worst = 4 + table_count as usize * (my_shard.batch_size() * dim * 12 + 708);
-                let mut buf = ctx.take_buf(scratch.bwd_chunk_capacity_hint[owner].max(worst));
-                take_caps.push(buf.capacity());
-                buf.extend_from_slice(&table_count.to_le_bytes());
-                scratch.send.push(buf);
-            }
-            let mut bwd_bytes = 0u64;
-            let mut profile_c_s = 0.0f64;
-            for (t, grad) in grads.embedding_grads.iter().enumerate() {
-                let owner = partition.owner_of(t);
-                write_block(
-                    &resolved,
-                    t,
-                    iter,
-                    grad.as_slice(),
-                    dim,
-                    &mut scratch.compress,
-                    &mut scratch.send[owner],
-                );
-                bwd_bytes += (grad.len() * 4) as u64;
-                profile_c_s +=
-                    block_profile_seconds(profile, &resolved, t, (grad.len() * 4) as u64, false);
-            }
-            let lease_growth = settle_send_leases(
-                &scratch.send,
-                &take_caps,
-                &mut scratch.bwd_chunk_capacity_hint,
-            );
-            charge_codec(
-                &mut ledger,
-                phases::BWD_COMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    t0.elapsed().as_secs_f64()
+            exchange(
+                &env,
+                Direction::Backward {
+                    partition,
+                    grads: &grads.embedding_grads,
+                    entries: &mut grad_entries,
                 },
-                bwd_bytes,
-                codec_throughput_c,
-                profile.map(|_| profile_c_s),
-            );
-            let a = note_alloc(
+                &mut clock,
                 &mut ledger,
-                phases::BWD_COMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                lease_growth,
+                &mut scratch,
+                controller.as_mut(),
+                &mut tiers,
             );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_COMPRESS, &ledger, ctx);
-            wall.mark(phases::BWD_COMPRESS);
-
-            let stats = ctx.all_to_all_var_pooled(
-                &mut scratch.send,
-                &mut scratch.recv,
-                &tags,
-                &mut scratch.meta,
-            );
-            // As in the forward exchange: don't re-charge the metadata
-            // records' bandwidth inside the payload term.
-            let meta_bytes = world.saturating_sub(1) * METADATA_RECORD_BYTES;
-            let bwd_a2a_time = cost.metadata_time(world.saturating_sub(1), METADATA_RECORD_BYTES)
-                + cost.alltoall_time(
-                    stats.sent.saturating_sub(meta_bytes),
-                    stats.received.saturating_sub(meta_bytes),
-                );
-            ledger.add_time(phases::BWD_A2A, bwd_a2a_time);
-            ledger.add_bytes(phases::BWD_A2A, (stats.sent + stats.received) as u64);
-            if let Some(state) = controller.as_mut() {
-                let bottleneck = stats
-                    .sent
-                    .saturating_sub(meta_bytes)
-                    .max(stats.received.saturating_sub(meta_bytes));
-                state.add_wire(bottleneck, cost.bandwidth_time(bottleneck));
-            }
-            let a = note_alloc(&mut ledger, phases::BWD_A2A, ctx, &scratch, &mut marks, 0);
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_A2A, &ledger, ctx);
-            wall.mark(phases::BWD_A2A);
-
-            // ── Stage 7: decompress gradients for the owned tables.
-            let t0 = Instant::now();
-            let mut bwd_decompressed = 0u64;
-            let mut profile_d_s = 0.0f64;
-            let recv = std::mem::take(&mut scratch.recv);
-            for (src, chunk) in recv.iter().enumerate() {
-                for (table, payload) in block_slices(chunk) {
-                    let rows = shards[src].batch_size();
-                    let mut values = scratch.take_floats(rows * dim);
-                    resolved.decompress_into(
-                        table as usize,
-                        payload,
-                        &mut scratch.compress,
-                        &mut values,
-                    );
-                    bwd_decompressed += (values.len() * 4) as u64;
-                    profile_d_s += block_profile_seconds(
-                        profile,
-                        &resolved,
-                        table as usize,
-                        (values.len() * 4) as u64,
-                        true,
-                    );
-                    assert_eq!(values.len(), rows * dim, "grad for table {table}: bad size");
-                    grad_entries.push((table, src as u32, Matrix::from_vec(rows, dim, values)));
-                }
-            }
-            let mut recv = recv;
-            recv.clear();
-            scratch.recv = recv;
-            charge_codec(
-                &mut ledger,
-                phases::BWD_DECOMPRESS,
-                if resolved.is_raw() {
-                    0.0
-                } else {
-                    t0.elapsed().as_secs_f64()
-                },
-                bwd_decompressed,
-                codec_throughput_d,
-                profile.map(|_| profile_d_s),
-            );
-            let a = note_alloc(
-                &mut ledger,
-                phases::BWD_DECOMPRESS,
-                ctx,
-                &scratch,
-                &mut marks,
-                0,
-            );
-            steady_allocated += if counting { a } else { 0 };
-            obs_mark(&mut obs, phases::BWD_DECOMPRESS, &ledger, ctx);
-            wall.mark(phases::BWD_DECOMPRESS);
         }
 
         let t0 = Instant::now();
@@ -2803,8 +2258,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             phases::EMB_UPDATE,
             t0.elapsed().as_secs_f64() * compute_scale,
         );
-        obs_mark(&mut obs, phases::EMB_UPDATE, &ledger, ctx);
-        wall.mark(phases::EMB_UPDATE);
+        clock.close(phases::EMB_UPDATE, &mut ledger, &scratch, 0);
 
         // ── Stage 8: all-reduce MLP gradients and update the replicas.
         model.flatten_mlp_grads_into(&grads, &mut scratch.flat_grads);
@@ -2848,10 +2302,10 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                     phases::ALLREDUCE,
                     (stats.stats.wire.sent + stats.stats.wire.received) as u64,
                 );
-                tier_seconds.0 += ti;
-                tier_seconds.1 += te;
-                tier_bytes.0 += (stats.intra.sent + stats.intra.received) as u64;
-                tier_bytes.1 += (stats.inter.sent + stats.inter.received) as u64;
+                tiers.seconds.0 += ti;
+                tiers.seconds.1 += te;
+                tiers.bytes.0 += (stats.intra.sent + stats.intra.received) as u64;
+                tiers.bytes.1 += (stats.inter.sent + stats.inter.received) as u64;
                 let capacity = scratch.dense_reduce.capacity_bytes();
                 let grew = capacity.saturating_sub(dense_capacity_mark);
                 dense_capacity_mark = capacity;
@@ -2901,10 +2355,10 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 let mut ar_time = match (&hier_iter, &hier_split) {
                     (Some((_, tiered)), Some((intra, inter))) => {
                         let (ti, te) = tiered.allreduce_tier_times(*intra, *inter);
-                        tier_seconds.0 += ti;
-                        tier_seconds.1 += te;
-                        tier_bytes.0 += (intra.sent + intra.received) as u64;
-                        tier_bytes.1 += (inter.sent + inter.received) as u64;
+                        tiers.seconds.0 += ti;
+                        tiers.seconds.1 += te;
+                        tiers.bytes.0 += (intra.sent + intra.received) as u64;
+                        tiers.bytes.1 += (inter.sent + inter.received) as u64;
                         ti + te
                     }
                     _ => cost.allreduce_wire_time(stats.wire.sent, stats.wire.received, world),
@@ -2961,17 +2415,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 grew
             }
         };
-        let a = note_alloc(
-            &mut ledger,
-            phases::ALLREDUCE,
-            ctx,
-            &scratch,
-            &mut marks,
-            dense_extra_alloc,
-        );
-        steady_allocated += if counting { a } else { 0 };
-        obs_mark(&mut obs, phases::ALLREDUCE, &ledger, ctx);
-        wall.mark(phases::ALLREDUCE);
+        clock.close(phases::ALLREDUCE, &mut ledger, &scratch, dense_extra_alloc);
         let t0 = Instant::now();
         let scale = 1.0 / world as f32;
         for g in scratch.flat_grads.iter_mut() {
@@ -2982,8 +2426,7 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             phases::OPTIMIZER,
             t0.elapsed().as_secs_f64() * compute_scale,
         );
-        obs_mark(&mut obs, phases::OPTIMIZER, &ledger, ctx);
-        wall.mark(phases::OPTIMIZER);
+        clock.close(phases::OPTIMIZER, &mut ledger, &scratch, 0);
 
         // ── Probe the candidate codecs on live payloads when the next
         // iteration is a reselection point — and once at the end of warm-up,
@@ -3003,19 +2446,9 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                     &mut scratch.compress,
                     &mut ledger,
                     profile,
-                    codec_throughput_c,
+                    trainer.device_throughput.map(|(c, _)| c),
                 );
-                let a = note_alloc(
-                    &mut ledger,
-                    phases::CONTROLLER,
-                    ctx,
-                    &scratch,
-                    &mut marks,
-                    0,
-                );
-                steady_allocated += if counting { a } else { 0 };
-                obs_mark(&mut obs, phases::CONTROLLER, &ledger, ctx);
-                wall.mark(phases::CONTROLLER);
+                clock.close(phases::CONTROLLER, &mut ledger, &scratch, 0);
             }
         }
 
@@ -3052,12 +2485,15 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             // buffer — the large spares are therefore parked at one unified
             // capacity serving both classes.
             let max_shard_batch = trainer.global_batch.div_ceil(world);
-            let max_tables = tables_of_owner.iter().copied().max().unwrap_or(0) as usize;
+            let max_tables = (0..world)
+                .map(|o| partition.tables_of(o).len())
+                .max()
+                .unwrap_or(0);
             let block_worst = max_shard_batch * dim * 12 + 708;
             let payload_cap = scratch
-                .chunk_capacity_hint
+                .capacity_hints
                 .iter()
-                .chain(scratch.bwd_chunk_capacity_hint.iter())
+                .flatten()
                 .copied()
                 .max()
                 .unwrap_or(64)
@@ -3099,57 +2535,22 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 drop(spares);
             }
             // Parking is warm-up work; exclude it from the steady counters.
-            marks.pool = ctx.pool().stats();
+            clock.pool_mark = ctx.pool().stats();
         }
 
-        if let Some(o) = obs.as_mut() {
+        if let Some(o) = clock.obs.as_mut() {
             o.end_iteration(
                 iter,
                 &ledger,
-                &wall,
+                &clock.wall,
                 &fwd_traffic,
-                tier_bytes,
+                tiers.bytes,
                 dense.as_ref().map_or(0.0, GradCompressor::residual_norm),
             );
         }
     }
 
-    // ── Segment exit: a planned resize checkpoints the final state so the
-    // regrown world has an exact restore point at the boundary.
-    if seg.checkpoint_at_end {
-        let spec = seg
-            .checkpoint
-            .as_ref()
-            .expect("validated: a forced end checkpoint requires a spec");
-        let codec = ckpt_codec.as_mut().expect("codec built with the spec");
-        let part = take_checkpoint(
-            seg.end,
-            rank,
-            &model,
-            &owned,
-            dense.as_ref(),
-            codec,
-            &mut ckpt_flat,
-        );
-        let write_s = part.write_seconds(spec.write_bandwidth);
-        checkpoints_taken += 1;
-        checkpoint_original_bytes += part.original_bytes();
-        checkpoint_encoded_bytes += part.encoded_bytes();
-        checkpoint_write_seconds += write_s;
-        ledger.add_time(
-            phases::CHECKPOINT,
-            part.encode_seconds * compute_scale + write_s,
-        );
-        ledger.add_bytes(phases::CHECKPOINT, part.encoded_bytes());
-        if let Some(o) = obs.as_mut() {
-            o.note_checkpoint(part.encoded_bytes(), write_s, &ledger);
-        }
-        last_checkpoint = Some(part);
-        obs_mark(&mut obs, phases::CHECKPOINT, &ledger, ctx);
-        wall.mark(phases::CHECKPOINT);
-    }
-
-    let (obs_track, obs_metrics) = match obs {
+    let (obs_track, obs_metrics) = match clock.obs {
         None => (None, None),
         Some(o) => (Some(RankTrack::from(o.rec)), Some(o.metrics)),
     };
@@ -3171,10 +2572,10 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         rank,
         per_iteration,
         ledger,
-        wall: wall.into_ledger(),
+        wall: clock.wall,
         fwd_traffic,
         pool_stats: ctx.pool().stats(),
-        steady_state_allocated_bytes: steady_allocated,
+        steady_state_allocated_bytes: clock.steady_allocated,
         dense_traffic,
         dense_saved_seconds,
         dense_residual_norm: dense.as_ref().map_or(0.0, GradCompressor::residual_norm),
@@ -3183,8 +2584,8 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         homo_saved_seconds,
         grad_push_combines: grad_push.map_or(0, |p| p.combines),
         dense_advice,
-        tier_bytes,
-        tier_seconds,
+        tier_bytes: tiers.bytes,
+        tier_seconds: tiers.seconds,
         reselections: controller
             .as_ref()
             .map_or_else(Vec::new, |s| s.ctl.log().to_vec()),
@@ -3206,14 +2607,31 @@ mod tests {
 
     #[test]
     fn block_encoding_roundtrips() {
-        let blocks = vec![
-            (0u32, vec![1u8, 2, 3]),
-            (7u32, vec![]),
-            (25u32, (0..255u8).collect()),
+        let raw = ResolvedCompression::Raw;
+        let mut scratch = CompressScratch::new();
+        let blocks: Vec<(u32, Vec<f32>)> = vec![
+            (0, vec![1.0, -2.0, 3.5, 0.25]),
+            (7, vec![]),
+            (25, (0..64).map(|i| i as f32 * 0.5 - 3.0).collect()),
         ];
-        let encoded = encode_blocks(&blocks);
-        assert_eq!(decode_blocks(&encoded), blocks);
-        assert_eq!(decode_blocks(&encode_blocks(&[])), vec![]);
+        let mut chunk = (blocks.len() as u32).to_le_bytes().to_vec();
+        for (table, values) in &blocks {
+            let len = write_block(
+                &raw,
+                *table as usize,
+                0,
+                values,
+                4,
+                &mut scratch,
+                &mut chunk,
+            );
+            assert_eq!(len, values.len() * 4);
+        }
+        let decoded: Vec<(u32, Vec<f32>)> = block_slices(&chunk)
+            .map(|(table, payload)| (table, raw.decompress(table as usize, payload)))
+            .collect();
+        assert_eq!(decoded, blocks);
+        assert_eq!(block_slices(&0u32.to_le_bytes()).count(), 0);
     }
 
     #[test]
@@ -3300,23 +2718,6 @@ mod tests {
             assert_eq!(delta.allocations, 0, "retry double-counted: {delta:?}");
             drop(again);
         });
-    }
-
-    #[test]
-    fn chunk_codec_seconds_mirrors_charge_codec() {
-        // Raw payloads are never charged.
-        assert_eq!(
-            chunk_codec_seconds(true, 0.5, 1_000_000, Some(1e9), None),
-            0.0
-        );
-        // Measured seconds without an override.
-        assert_eq!(chunk_codec_seconds(false, 0.5, 1_000_000, None, None), 0.5);
-        // Analytic bytes/throughput with one.
-        let s = chunk_codec_seconds(false, 0.5, 1_000_000, Some(1e9), None);
-        assert!((s - 1e-3).abs() < 1e-12);
-        // The per-codec profile sum wins over the flat override.
-        let s = chunk_codec_seconds(false, 0.5, 1_000_000, Some(1e9), Some(4e-3));
-        assert!((s - 4e-3).abs() < 1e-12);
     }
 
     #[test]

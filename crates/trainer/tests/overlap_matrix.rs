@@ -131,8 +131,26 @@ fn overlap_changes_timing_but_not_numerics() {
         );
         assert_eq!(seq.overall_ratio.to_bits(), ovl.overall_ratio.to_bits());
         assert_eq!(seq.per_table, ovl.per_table);
+        // Per-destination chunk bytes do not depend on the schedule, so the
+        // codec and wire byte counters agree too.
+        for phase in EXCHANGE_BYTE_PHASES {
+            assert_eq!(
+                seq.breakdown.bytes(phase),
+                ovl.breakdown.bytes(phase),
+                "{}: {phase} bytes depend on the schedule",
+                seq.label
+            );
+        }
     }
 }
+
+/// Phases whose byte counters must not depend on the exchange schedule.
+const EXCHANGE_BYTE_PHASES: [&str; 4] = [
+    phases::FWD_COMPRESS,
+    phases::FWD_A2A,
+    phases::BWD_COMPRESS,
+    phases::BWD_A2A,
+];
 
 /// Timing-dominant configuration: analytic codec throughput and a slow link,
 /// so the modelled comm/codec time dwarfs this machine's (scaled-down)

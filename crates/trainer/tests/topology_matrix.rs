@@ -90,6 +90,7 @@ fn hierarchical_topology_composes_with_overlap_and_dense_compression() {
     )
     .with_dense_compression(DenseCompression::fp16_ef());
     let flat = run_training(&dataset, &base.clone());
+    let mut exchange_bytes = Vec::new();
     for overlap in [OverlapSetting::Off, OverlapSetting::DoubleBuffered] {
         let report = run_training(
             &dataset,
@@ -116,7 +117,22 @@ fn hierarchical_topology_composes_with_overlap_and_dense_compression() {
         } else {
             assert_eq!(report.overlap_saved_seconds, 0.0);
         }
+        exchange_bytes.push(
+            [
+                phases::FWD_COMPRESS,
+                phases::FWD_A2A,
+                phases::BWD_COMPRESS,
+                phases::BWD_A2A,
+            ]
+            .map(|phase| report.breakdown.bytes(phase)),
+        );
     }
+    // Per-destination chunk bytes do not depend on the schedule: the codec
+    // and wire byte counters agree with and without overlap.
+    assert_eq!(
+        exchange_bytes[0], exchange_bytes[1],
+        "hier 2x2: exchange bytes depend on the schedule"
+    );
 }
 
 #[test]
