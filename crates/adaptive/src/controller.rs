@@ -386,6 +386,191 @@ pub struct WindowObservation {
     pub tables: Vec<TableObservation>,
 }
 
+impl WindowObservation {
+    /// Assemble the observation of the window ending at `iteration` from
+    /// every rank's share, summed in the order given (rank order), so ranks
+    /// folding the same gathered shares agree bit for bit. Bandwidths are
+    /// bytes over charged seconds; with no wire seconds the effective
+    /// bandwidth is `fallback_bandwidth`, with no intra seconds there is no
+    /// intra tier.
+    pub fn from_shares(
+        iteration: usize,
+        shares: impl IntoIterator<Item = ObservationShare>,
+        fallback_bandwidth: f64,
+    ) -> Self {
+        let mut sum = ObservationShare::default();
+        for share in shares {
+            sum.loss_sum += share.loss_sum;
+            sum.loss_count = sum.loss_count.saturating_add(share.loss_count);
+            sum.wire_bytes += share.wire_bytes;
+            sum.wire_seconds += share.wire_seconds;
+            sum.intra_bytes += share.intra_bytes;
+            sum.intra_seconds += share.intra_seconds;
+            sum.codec_bytes += share.codec_bytes;
+            sum.codec_seconds += share.codec_seconds;
+            sum.tables.extend(share.tables);
+        }
+        sum.tables.sort_by_key(|t| t.table_id);
+        let quotient = |num: f64, den: f64| (den > 0.0).then(|| num / den);
+        Self {
+            iteration,
+            effective_bandwidth: quotient(sum.wire_bytes, sum.wire_seconds)
+                .unwrap_or(fallback_bandwidth),
+            intra_bandwidth: quotient(sum.intra_bytes, sum.intra_seconds),
+            mean_loss: quotient(sum.loss_sum, sum.loss_count as f64).unwrap_or(0.0),
+            measured_compress_throughput: quotient(sum.codec_bytes, sum.codec_seconds)
+                .unwrap_or(0.0),
+            tables: sum.tables,
+        }
+    }
+}
+
+/// Words before the table records, and words of a record before its ratios.
+const SHARE_HEADER_WORDS: usize = 9;
+const TABLE_HEADER_WORDS: usize = 3;
+
+/// One rank's raw measurements over one controller window, all-gathered so
+/// every rank can assemble the same [`WindowObservation`]
+/// ([`WindowObservation::from_shares`]).
+///
+/// Encoded as little-endian 8-byte words, `f64`s as their bits, in field
+/// order: the eight scalars, the table count, then per table its id,
+/// original and compressed bytes and one ratio per candidate. The candidate
+/// count is not on the wire; every rank knows it from
+/// [`ControllerConfig::candidates`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ObservationShare {
+    /// Sum of the losses seen over the window.
+    pub loss_sum: f64,
+    /// Number of losses in `loss_sum`.
+    pub loss_count: u64,
+    /// Bottleneck-tier wire bytes.
+    pub wire_bytes: f64,
+    /// Seconds charged for `wire_bytes`.
+    pub wire_seconds: f64,
+    /// Intra-node tier bytes (zero on a flat cluster).
+    pub intra_bytes: f64,
+    /// Seconds charged for `intra_bytes`.
+    pub intra_seconds: f64,
+    /// Bytes the running codecs compressed.
+    pub codec_bytes: f64,
+    /// Seconds charged for compressing `codec_bytes`.
+    pub codec_seconds: f64,
+    /// The tables this rank owns.
+    pub tables: Vec<TableObservation>,
+}
+
+/// Why [`ObservationShare::decode`] rejected a share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShareError {
+    /// Fewer bytes than the fixed header.
+    Truncated {
+        /// Header bytes.
+        needed: usize,
+        /// Bytes present.
+        got: usize,
+    },
+    /// The table count disagrees with the `body` bytes after the header.
+    TableCount {
+        /// Declared table count.
+        declared: u64,
+        /// Bytes after the header.
+        body: usize,
+    },
+}
+
+impl std::fmt::Display for ShareError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Truncated { needed, got } => {
+                write!(f, "share of {got} bytes, header needs {needed}")
+            }
+            Self::TableCount { declared, body } => {
+                write!(f, "share declares {declared} tables in {body} body bytes")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ShareError {}
+
+impl ObservationShare {
+    /// Encoded size of a share of `tables` tables with `candidates` ratios
+    /// each (every share of that shape encodes to exactly this).
+    pub fn max_encoded_len(tables: usize, candidates: usize) -> usize {
+        8 * (SHARE_HEADER_WORDS + tables * (TABLE_HEADER_WORDS + candidates))
+    }
+
+    /// Append the encoded share to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut put = |word: u64| out.extend_from_slice(&word.to_le_bytes());
+        put(self.loss_sum.to_bits());
+        put(self.loss_count);
+        for v in [
+            self.wire_bytes,
+            self.wire_seconds,
+            self.intra_bytes,
+            self.intra_seconds,
+            self.codec_bytes,
+            self.codec_seconds,
+        ] {
+            put(v.to_bits());
+        }
+        put(self.tables.len() as u64);
+        for t in &self.tables {
+            put(t.table_id as u64);
+            put(t.original_bytes);
+            put(t.compressed_bytes);
+            t.candidate_ratios.iter().for_each(|r| put(r.to_bits()));
+        }
+    }
+
+    /// Decode a share whose tables carry `candidates` ratios each. The
+    /// table count sizes nothing until the body is shown to hold exactly
+    /// that many records, so a corrupt count is an `Err`, not an allocation.
+    pub fn decode(bytes: &[u8], candidates: usize) -> Result<Self, ShareError> {
+        let header = 8 * SHARE_HEADER_WORDS;
+        let body = bytes
+            .len()
+            .checked_sub(header)
+            .ok_or(ShareError::Truncated {
+                needed: header,
+                got: bytes.len(),
+            })?;
+        let record = 8 * (TABLE_HEADER_WORDS + candidates);
+        let declared = u64::from_le_bytes(bytes[header - 8..header].try_into().unwrap_or_default());
+        if body % record != 0 || (body / record) as u64 != declared {
+            return Err(ShareError::TableCount { declared, body });
+        }
+        // Every word read below lies inside the length validated above.
+        let mut words = bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap_or_default()));
+        let mut next = || words.next().unwrap_or_default();
+        Ok(Self {
+            loss_sum: f64::from_bits(next()),
+            loss_count: next(),
+            wire_bytes: f64::from_bits(next()),
+            wire_seconds: f64::from_bits(next()),
+            intra_bytes: f64::from_bits(next()),
+            intra_seconds: f64::from_bits(next()),
+            codec_bytes: f64::from_bits(next()),
+            codec_seconds: f64::from_bits(next()),
+            tables: {
+                next(); // the table count, validated above
+                (0..body / record)
+                    .map(|_| TableObservation {
+                        table_id: next() as usize,
+                        original_bytes: next(),
+                        compressed_bytes: next(),
+                        candidate_ratios: (0..candidates).map(|_| f64::from_bits(next())).collect(),
+                    })
+                    .collect()
+            },
+        })
+    }
+}
+
 /// One table's codec switch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TableRevision {

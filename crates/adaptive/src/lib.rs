@@ -40,8 +40,8 @@ pub use analysis::{analyze_tables, CompressionPlan, TablePlan};
 pub use classify::{EbClass, EbConfig, Thresholds};
 pub use controller::{
     advise_dense_allreduce, CodecProfile, ControllerConfig, DenseAdvice, DenseCandidate,
-    PlateauEbControl, Reselection, RuntimeController, TableObservation, TableRevision, TierAdvice,
-    WindowObservation,
+    ObservationShare, PlateauEbControl, Reselection, RuntimeController, ShareError,
+    TableObservation, TableRevision, TierAdvice, WindowObservation,
 };
 pub use decay::{DecaySchedule, EbSchedule, TrainingPhases};
 pub use homo::{homogenization_index, pattern_counts, HomoReport};

@@ -662,18 +662,25 @@ impl RankCtx {
         bytes
     }
 
-    /// All-gather: every rank contributes one byte chunk and receives all
-    /// chunks in rank order.
-    pub fn all_gather_bytes(&self, chunk: Vec<u8>) -> (Vec<Vec<u8>>, ExchangeBytes) {
-        let mut send: Vec<PooledBuf> = Vec::with_capacity(self.world);
+    /// Zero-allocation all-gather: every rank contributes `chunk` and `recv`
+    /// is refilled with every rank's chunk in rank order. Each copy rides a
+    /// pool lease of at least `capacity` bytes (pass the worst-case chunk
+    /// size so a steady-state caller whose chunks vary never grows a lease).
+    /// `send` is a reusable container, left empty.
+    pub fn all_gather_pooled(
+        &self,
+        chunk: &[u8],
+        capacity: usize,
+        send: &mut Vec<PooledBuf>,
+        recv: &mut Vec<PooledBuf>,
+    ) -> ExchangeBytes {
+        send.clear();
         for _ in 0..self.world {
-            let mut b = self.pool.take(chunk.len());
-            b.extend_from_slice(&chunk);
+            let mut b = self.pool.take(capacity.max(chunk.len()));
+            b.extend_from_slice(chunk);
             send.push(b);
         }
-        let mut recv = Vec::with_capacity(self.world);
-        let stats = self.all_to_all_pooled(&mut send, &mut recv);
-        (recv.into_iter().map(PooledBuf::into_vec).collect(), stats)
+        self.all_to_all_pooled(send, recv)
     }
 
     /// Sum-all-reduce over an `f32` vector. Every rank ends with the

@@ -18,6 +18,13 @@ use crate::scratch::CompressScratch;
 use crate::varint;
 use crate::Result;
 
+/// Longest zero run one token describes: the largest length a two-byte
+/// varint holds. Longer runs are split, so a zero-run token (`[0]` plus the
+/// length) never describes more than `MAX_ZERO_RUN / 3` plane bytes per
+/// stream byte, and literal tokens describe fewer than one. That ratio
+/// bounds the plane buffer any stream of a given length can declare.
+const MAX_ZERO_RUN: usize = (1 << 14) - 1;
+
 /// Compress a batch of embedding vectors with the bitshuffle pipeline.
 pub fn compress(data: &[f32], dim: usize, eb: f32) -> Result<Vec<u8>> {
     let mut scratch = CompressScratch::new();
@@ -73,15 +80,16 @@ pub fn decompress_into(
     let eb = varint::read_f32_le(bytes, &mut pos)?;
     quant::validate_error_bound(eb)
         .map_err(|_| CompressError::Corrupt("bad error bound in header"))?;
-    // A corrupt header cannot be allowed to drive the plane-buffer size: the
-    // zero-run payload that follows can never legitimately describe more
-    // values than it has bytes of stream to back them.
-    if n / 8 > bytes.len().saturating_mul(64) {
-        return Err(CompressError::Corrupt(
+    // A corrupt header cannot be allowed to drive the plane-buffer size: no
+    // stream the encoder emits describes more than `MAX_ZERO_RUN / 3` plane
+    // bytes per payload byte.
+    let plane_bytes = n
+        .div_ceil(8)
+        .checked_mul(32)
+        .filter(|&p| p <= (bytes.len() - pos).saturating_mul(MAX_ZERO_RUN / 3))
+        .ok_or(CompressError::Corrupt(
             "declared length far exceeds stream size",
-        ));
-    }
-    let plane_bytes = 32 * n.div_ceil(8);
+        ))?;
     zero_run_decode_into(&bytes[pos..], plane_bytes, &mut scratch.stage)?;
     bitunshuffle_into(&scratch.stage, n, &mut scratch.symbols);
     quant::symbols_to_codes_into(&scratch.symbols, &mut scratch.codes);
@@ -161,7 +169,8 @@ fn bitunshuffle_into(planes: &[u8], n: usize, symbols: &mut Vec<u32>) {
 }
 
 /// Zero-run encoder: the buffer is emitted as alternating runs. Each run is
-/// `[0 varint][zero_len varint]` or `[lit_len varint][lit_len bytes]`.
+/// `[0 varint][zero_len varint]` (at most [`MAX_ZERO_RUN`] zeros; longer
+/// runs take several tokens) or `[lit_len varint][lit_len bytes]`.
 fn zero_run_encode(buf: &[u8], out: &mut Vec<u8>) {
     let mut pos = 0usize;
     while pos < buf.len() {
@@ -178,8 +187,13 @@ fn zero_run_encode(buf: &[u8], out: &mut Vec<u8>) {
             while pos < buf.len() && buf[pos] == 0 {
                 pos += 1;
             }
-            varint::write_u64(out, 0);
-            varint::write_u64(out, (pos - start) as u64);
+            let mut run = pos - start;
+            while run > 0 {
+                let len = run.min(MAX_ZERO_RUN);
+                varint::write_u64(out, 0);
+                varint::write_u64(out, len as u64);
+                run -= len;
+            }
         } else {
             let start = pos;
             // A literal run ends at the next run of >= 4 zeros (short zero
@@ -279,7 +293,8 @@ mod tests {
 
     #[test]
     fn zero_run_encoder_roundtrips_edge_cases() {
-        for buf in [vec![], vec![0u8; 100], vec![1u8; 100], {
+        let long_zero_run = vec![0u8; 3 * MAX_ZERO_RUN + 5];
+        for buf in [vec![], vec![0u8; 100], vec![1u8; 100], long_zero_run, {
             let mut v = vec![0u8; 10];
             v.extend([1, 2, 3]);
             v.extend(vec![0u8; 50]);
@@ -291,6 +306,47 @@ mod tests {
             let dec = zero_run_decode(&enc, buf.len()).unwrap();
             assert_eq!(dec, buf);
         }
+    }
+
+    #[test]
+    fn highly_compressible_blocks_roundtrip() {
+        // 512 rows of 16 at eb 0.05: every value below inside the zero bin
+        // (or one spike away from it) makes plane buffers that are almost
+        // entirely zero, so the stream compresses far past 512x.
+        let eb = 0.05;
+        let zeros = vec![0.0f32; 512 * 16];
+        let mut near_constant: Vec<f32> = (0..512 * 16)
+            .map(|i| 0.01 * (i as f32 * 0.37).sin())
+            .collect();
+        near_constant[4_000] = 0.3;
+        for data in [zeros, near_constant] {
+            let enc = compress(&data, 16, eb).unwrap();
+            assert!(enc.len() * 512 < data.len() * 4, "{} bytes", enc.len());
+            let dec = decompress(&enc).unwrap();
+            assert_eq!(dec.len(), data.len());
+            for (a, b) in data.iter().zip(&dec) {
+                assert!((a - b).abs() <= eb * 1.0001);
+            }
+        }
+    }
+
+    #[test]
+    fn declared_length_is_bounded_by_stream_length() {
+        // A header claiming 2^40 values over a one-token payload must be
+        // refused before anything is sized from it.
+        let mut bytes = Vec::new();
+        varint::write_u64(&mut bytes, 1 << 40);
+        varint::write_u64(&mut bytes, 16);
+        varint::write_f32_le(&mut bytes, 0.05);
+        varint::write_u64(&mut bytes, 0);
+        varint::write_u64(&mut bytes, MAX_ZERO_RUN as u64);
+        assert!(decompress(&bytes).is_err());
+        // So must one whose plane size overflows `usize`.
+        let mut bytes = Vec::new();
+        varint::write_u64(&mut bytes, u64::MAX);
+        varint::write_u64(&mut bytes, 16);
+        varint::write_f32_le(&mut bytes, 0.05);
+        assert!(decompress(&bytes).is_err());
     }
 
     #[test]

@@ -44,8 +44,8 @@
 use std::sync::Arc;
 
 use dlrm_adaptive::{
-    ControllerConfig, PlateauEbControl, Reselection, RuntimeController, TableObservation,
-    WindowObservation,
+    ControllerConfig, ObservationShare, PlateauEbControl, Reselection, RuntimeController,
+    TableObservation, WindowObservation,
 };
 use dlrm_ckpt::Checkpoint;
 use dlrm_comm::cluster::RankCtx;
@@ -245,10 +245,9 @@ struct CtlAccum {
     comp: Vec<u64>,
     /// Per-table probe sample of live payload rows (owner side).
     probe: Vec<Vec<f32>>,
-    wire_bytes: u64,
-    wire_seconds: f64,
-    enc_raw: u64,
-    enc_seconds: f64,
+    /// This rank's wire and fetch-encoder bytes and seconds; the tables
+    /// and the loss are filled in at the boundary.
+    share: ObservationShare,
     hits: u64,
     probes: u64,
 }
@@ -261,10 +260,7 @@ impl CtlAccum {
             probe: (0..tables)
                 .map(|_| Vec::with_capacity(PROBE_ROWS * dim))
                 .collect(),
-            wire_bytes: 0,
-            wire_seconds: 0.0,
-            enc_raw: 0,
-            enc_seconds: 0.0,
+            share: ObservationShare::default(),
             hits: 0,
             probes: 0,
         }
@@ -274,10 +270,7 @@ impl CtlAccum {
         self.orig.iter_mut().for_each(|v| *v = 0);
         self.comp.iter_mut().for_each(|v| *v = 0);
         self.probe.iter_mut().for_each(Vec::clear);
-        self.wire_bytes = 0;
-        self.wire_seconds = 0.0;
-        self.enc_raw = 0;
-        self.enc_seconds = 0.0;
+        self.share = ObservationShare::default();
         self.hits = 0;
         self.probes = 0;
     }
@@ -494,7 +487,7 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
             req_sent[w * world + dst] = bytes;
             request_wire_bytes += bytes;
             my_wire_seconds += pair_cost(&cost, tiered.as_ref(), rank, dst, bytes);
-            accum.wire_bytes += bytes;
+            accum.share.wire_bytes += bytes as f64;
             send.push(buf);
         }
         ctx.all_to_all_var_pooled(&mut send, &mut recv, &tags, &mut records);
@@ -531,7 +524,7 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
                     groups += 1;
                     accum.orig[t] += raw;
                     accum.comp[t] += scratch.enc_buf.len() as u64;
-                    accum.enc_raw += raw;
+                    accum.share.codec_bytes += raw as f64;
                     let (enc_tput, _) = codec_throughput(codecs.kind(t), &cfg.profile);
                     if enc_tput.is_finite() {
                         enc_seconds += raw as f64 / enc_tput;
@@ -549,16 +542,16 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
             pay_sent[w * world + src] = bytes;
             fetch_wire_bytes += bytes;
             my_wire_seconds += pair_cost(&cost, tiered.as_ref(), rank, src, bytes);
-            accum.wire_bytes += bytes;
+            accum.share.wire_bytes += bytes as f64;
             send.push(buf);
         }
         recv.clear();
-        accum.enc_seconds += enc_seconds;
+        accum.share.codec_seconds += enc_seconds;
 
         // --- 4. Payload-direction all-to-all. ---
         ctx.all_to_all_var_pooled(&mut send, &mut pay_recv, &tags, &mut records);
         send.clear();
-        accum.wire_seconds += my_wire_seconds;
+        accum.share.wire_seconds += my_wire_seconds;
         ledger.add_time(phases::FWD_A2A, my_wire_seconds);
 
         // --- 5. Frontend decode: fill the window store + cache. ---
@@ -671,6 +664,8 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
                     &mut codecs,
                     &model,
                     dim,
+                    &mut send,
+                    &mut recv,
                 );
                 if !resel.switches.is_empty() {
                     cache.clear();
@@ -721,9 +716,10 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
     }
 }
 
-/// One controller observation boundary: all-gather per-rank traffic
-/// statistics, assemble the identical [`WindowObservation`] on every rank,
-/// feed the controller replica, and apply its switches to the codec bank.
+/// One controller observation boundary: all-gather every rank's
+/// [`ObservationShare`] of fetch statistics, assemble the identical
+/// [`WindowObservation`] on every rank, feed the controller replica, and
+/// apply its switches to the codec bank.
 #[allow(clippy::too_many_arguments)]
 fn observe_boundary(
     ctx: &RankCtx,
@@ -739,106 +735,63 @@ fn observe_boundary(
     codecs: &mut FetchCodecs,
     model: &Dlrm,
     dim: usize,
+    send: &mut Vec<PooledBuf>,
+    recv: &mut Vec<PooledBuf>,
 ) -> Reselection {
-    // Per-rank blob: owned-table stats + this rank's wire/encode/cache
-    // contributions. Fixed little-endian framing, rank order via all-gather.
     let eb = base_eb * ctl.eb_scale();
-    let mut blob: Vec<u8> = Vec::with_capacity(64 + owned.len() * (20 + candidates.len() * 8));
-    blob.extend_from_slice(&(owned.len() as u32).to_le_bytes());
-    for &t in owned {
-        blob.extend_from_slice(&(t as u32).to_le_bytes());
-        blob.extend_from_slice(&accum.orig[t].to_le_bytes());
-        blob.extend_from_slice(&accum.comp[t].to_le_bytes());
-        // Candidate ratios on a fresh probe of live payload (falling back to
-        // the table's own leading rows when nothing was fetched).
-        let probe: &[f32] = if accum.probe[t].is_empty() {
-            let card = model.embedding(t).cardinality();
-            let take = PROBE_ROWS.min(card) * dim;
-            &model.embedding(t).weights().as_slice()[..take]
-        } else {
-            &accum.probe[t]
-        };
-        for cand in candidates {
-            probe_out.clear();
-            cand.compress_into(probe, dim, eb, probe_scratch, probe_out)
-                .expect("candidate probe compresses");
-            let ratio = (probe.len() * 4) as f64 / probe_out.len().max(1) as f64;
-            blob.extend_from_slice(&ratio.to_le_bytes());
-        }
-    }
-    blob.extend_from_slice(&accum.wire_bytes.to_le_bytes());
-    blob.extend_from_slice(&accum.wire_seconds.to_le_bytes());
-    blob.extend_from_slice(&accum.enc_raw.to_le_bytes());
-    blob.extend_from_slice(&accum.enc_seconds.to_le_bytes());
-    blob.extend_from_slice(&accum.hits.to_le_bytes());
-    blob.extend_from_slice(&accum.probes.to_le_bytes());
-
-    let (chunks, _) = ctx.all_gather_bytes(blob);
-
-    let mut tables: Vec<TableObservation> = Vec::new();
-    let (mut wire_bytes, mut wire_seconds) = (0u64, 0.0f64);
-    let (mut enc_raw, mut enc_seconds) = (0u64, 0.0f64);
-    let (mut hits, mut probes) = (0u64, 0u64);
-    for chunk in &chunks {
-        let mut at = 0usize;
-        let read_u32 = |b: &[u8], at: &mut usize| {
-            let v = u32::from_le_bytes(b[*at..*at + 4].try_into().expect("u32"));
-            *at += 4;
-            v
-        };
-        let read_u64 = |b: &[u8], at: &mut usize| {
-            let v = u64::from_le_bytes(b[*at..*at + 8].try_into().expect("u64"));
-            *at += 8;
-            v
-        };
-        let read_f64 = |b: &[u8], at: &mut usize| f64::from_bits(read_u64(b, at));
-        let n = read_u32(chunk, &mut at) as usize;
-        for _ in 0..n {
-            let table_id = read_u32(chunk, &mut at) as usize;
-            let original_bytes = read_u64(chunk, &mut at);
-            let compressed_bytes = read_u64(chunk, &mut at);
-            let candidate_ratios = (0..candidates.len())
-                .map(|_| read_f64(chunk, &mut at))
+    let tables = owned
+        .iter()
+        .map(|&t| {
+            // Candidate ratios on a fresh probe of live payload (falling
+            // back to the table's own leading rows when nothing was fetched).
+            let probe: &[f32] = if accum.probe[t].is_empty() {
+                let card = model.embedding(t).cardinality();
+                let take = PROBE_ROWS.min(card) * dim;
+                &model.embedding(t).weights().as_slice()[..take]
+            } else {
+                &accum.probe[t]
+            };
+            let candidate_ratios = candidates
+                .iter()
+                .map(|cand| {
+                    probe_out.clear();
+                    cand.compress_into(probe, dim, eb, probe_scratch, probe_out)
+                        .expect("candidate probe compresses");
+                    (probe.len() * 4) as f64 / probe_out.len().max(1) as f64
+                })
                 .collect();
-            tables.push(TableObservation {
-                table_id,
-                original_bytes,
-                compressed_bytes,
+            TableObservation {
+                table_id: t,
+                original_bytes: accum.orig[t],
+                compressed_bytes: accum.comp[t],
                 candidate_ratios,
-            });
-        }
-        wire_bytes += read_u64(chunk, &mut at);
-        wire_seconds += read_f64(chunk, &mut at);
-        enc_raw += read_u64(chunk, &mut at);
-        enc_seconds += read_f64(chunk, &mut at);
-        hits += read_u64(chunk, &mut at);
-        probes += read_u64(chunk, &mut at);
+            }
+        })
+        .collect();
+    // The serving loss signal is the cache miss rate, fed only under
+    // error-bound control.
+    let share = &mut accum.share;
+    share.tables = tables;
+    if cfg.adaptive.as_ref().is_some_and(|a| a.eb_control) {
+        share.loss_sum = (accum.probes - accum.hits) as f64;
+        share.loss_count = accum.probes;
     }
-    tables.sort_by_key(|t| t.table_id);
-
-    let effective_bandwidth = if wire_seconds > 0.0 {
-        wire_bytes as f64 / wire_seconds
-    } else {
-        cfg.network.alltoall_bandwidth
-    };
-    let eb_control = cfg.adaptive.as_ref().is_some_and(|a| a.eb_control);
-    let mean_loss = if eb_control && probes > 0 {
-        1.0 - hits as f64 / probes as f64
-    } else {
-        0.0
-    };
-    let obs = WindowObservation {
-        iteration,
-        effective_bandwidth,
-        intra_bandwidth: cfg.topology.as_ref().map(|t| t.intra().alltoall_bandwidth),
-        mean_loss,
-        measured_compress_throughput: if enc_seconds > 0.0 {
-            enc_raw as f64 / enc_seconds
-        } else {
-            0.0
-        },
-        tables,
-    };
+    // The probe buffer doubles as the share's encode buffer.
+    probe_out.clear();
+    share.encode_into(probe_out);
+    ctx.all_gather_pooled(probe_out, probe_out.len(), send, recv);
+    let shares = recv.drain(..).enumerate().map(|(src, chunk)| {
+        ObservationShare::decode(&chunk, candidates.len()).unwrap_or_else(|e| {
+            panic!(
+                "rank {}: observation share from rank {src} at window {iteration}: {e}",
+                ctx.rank()
+            )
+        })
+    });
+    let mut obs = WindowObservation::from_shares(iteration, shares, cfg.network.alltoall_bandwidth);
+    // Serving charges no intra-node wire of its own; tier advice uses the
+    // configured intra-node link.
+    obs.intra_bandwidth = cfg.topology.as_ref().map(|t| t.intra().alltoall_bandwidth);
     let resel = ctl.observe(&obs);
     let new_eb = base_eb * ctl.eb_scale();
     for s in &resel.switches {

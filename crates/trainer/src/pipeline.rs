@@ -13,7 +13,8 @@ use crate::config::{
 use crate::grad_push::GradPushState;
 use crate::partition::TablePartition;
 use dlrm_adaptive::controller::{
-    ControllerConfig, Reselection, RuntimeController, TableObservation, WindowObservation,
+    ControllerConfig, ObservationShare, Reselection, RuntimeController, TableObservation,
+    WindowObservation,
 };
 use dlrm_adaptive::{advise_dense_allreduce, CodecProfile, DenseAdvice, EbSchedule};
 use dlrm_ckpt::{Checkpoint, CheckpointSpec, CkptCodec, RankCheckpoint};
@@ -1480,17 +1481,11 @@ struct ControllerState {
     window: usize,
     /// `fwd_traffic` snapshot at the current window's start.
     traffic_mark: Vec<(u64, u64)>,
-    /// Sum and count of per-iteration losses in the current window.
-    loss_sum: f64,
-    loss_n: u32,
-    /// Bottleneck-tier wire accounting of the window: bytes and the β
-    /// seconds the cost model charged for them (their quotient is the
-    /// effective bandwidth the controller reselects against).
-    wire_bytes: f64,
-    wire_seconds: f64,
-    /// Intra-node tier accounting (hierarchical topologies only).
-    intra_bytes: f64,
-    intra_seconds: f64,
+    /// This rank's share of the current window: the loss sum and count,
+    /// and the wire bytes and the β seconds the cost model charged for
+    /// them per tier (bottleneck and, under a hierarchy, intra-node). Codec
+    /// totals and tables are filled in at the boundary.
+    share: ObservationShare,
     /// Codec-phase marks at the window start (ledger seconds/bytes of the
     /// two compress phases), for measured-throughput calibration.
     codec_seconds_mark: f64,
@@ -1498,7 +1493,7 @@ struct ControllerState {
     /// Candidate compression ratios per owned table (local index), probed on
     /// the iteration preceding a window boundary.
     probe_ratios: Vec<Vec<f64>>,
-    /// Reusable serialization buffer for the observation exchange.
+    /// Reusable encode buffer for the observation exchange.
     blob: Vec<u8>,
     /// `(original, compressed)` bytes of this rank's owned tables per
     /// completed window.
@@ -1535,12 +1530,7 @@ impl ControllerState {
             candidates,
             window,
             traffic_mark: vec![(0, 0); num_tables],
-            loss_sum: 0.0,
-            loss_n: 0,
-            wire_bytes: 0.0,
-            wire_seconds: 0.0,
-            intra_bytes: 0.0,
-            intra_seconds: 0.0,
+            share: ObservationShare::default(),
             codec_seconds_mark: 0.0,
             codec_bytes_mark: 0,
             probe_ratios: Vec::new(),
@@ -1549,13 +1539,11 @@ impl ControllerState {
         }
     }
 
-    /// Worst-case observation-blob bytes this rank can produce — the lease
-    /// capacity the control exchange requests (spares of this class are
-    /// parked at warm-up so the steady state stays allocation-free).
-    fn blob_capacity(&self, owned_tables: usize) -> usize {
-        // 9 u64-sized header fields, then per table: id + orig + comp
-        // (3 x u64) plus one f64 ratio per candidate.
-        72 + owned_tables * (24 + 8 * self.candidates.len())
+    /// Encoded size of this rank's observation share — the lease capacity
+    /// the control exchange requests (spares of this class are parked at
+    /// warm-up so the steady state stays allocation-free).
+    fn share_len(&self, owned_tables: usize) -> usize {
+        ObservationShare::max_encoded_len(owned_tables, self.candidates.len())
     }
 
     /// True when `iter` starts a new window (a reselection point).
@@ -1572,14 +1560,14 @@ impl ControllerState {
 
     /// Record one bottleneck-tier wire charge.
     fn add_wire(&mut self, bytes: usize, seconds: f64) {
-        self.wire_bytes += bytes as f64;
-        self.wire_seconds += seconds;
+        self.share.wire_bytes += bytes as f64;
+        self.share.wire_seconds += seconds;
     }
 
     /// Record one intra-tier wire charge (hierarchical topologies).
     fn add_intra(&mut self, bytes: usize, seconds: f64) {
-        self.intra_bytes += bytes as f64;
-        self.intra_seconds += seconds;
+        self.share.intra_bytes += bytes as f64;
+        self.share.intra_seconds += seconds;
     }
 
     /// Compress every candidate codec over each owned table's live payload
@@ -1661,72 +1649,54 @@ impl ControllerState {
         ledger: &mut TimingLedger,
         send: &mut Vec<PooledBuf>,
         recv: &mut Vec<PooledBuf>,
-        hierarchical: bool,
         degraded: bool,
     ) {
-        let world = ctx.world();
         // Codec throughput over the window, from the ledger's compress
         // phases (deterministic whenever codec time is charged
         // analytically).
-        let codec_seconds = ledger.seconds(phases::FWD_COMPRESS)
+        let share = &mut self.share;
+        share.codec_seconds = ledger.seconds(phases::FWD_COMPRESS)
             + ledger.seconds(phases::BWD_COMPRESS)
             - self.codec_seconds_mark;
-        let codec_bytes = ledger.bytes(phases::FWD_COMPRESS) + ledger.bytes(phases::BWD_COMPRESS)
-            - self.codec_bytes_mark;
-
-        // ── Serialize this rank's share of the observation.
-        self.blob.clear();
-        let blob = &mut self.blob;
-        blob.extend_from_slice(&self.loss_sum.to_le_bytes());
-        blob.extend_from_slice(&(self.loss_n as u64).to_le_bytes());
-        blob.extend_from_slice(&self.wire_bytes.to_le_bytes());
-        blob.extend_from_slice(&self.wire_seconds.to_le_bytes());
-        blob.extend_from_slice(&self.intra_bytes.to_le_bytes());
-        blob.extend_from_slice(&self.intra_seconds.to_le_bytes());
-        blob.extend_from_slice(&(codec_bytes as f64).to_le_bytes());
-        blob.extend_from_slice(&codec_seconds.to_le_bytes());
-        blob.extend_from_slice(&(owned.len() as u64).to_le_bytes());
-        let mut window_orig = 0u64;
-        let mut window_comp = 0u64;
+        share.codec_bytes = (ledger.bytes(phases::FWD_COMPRESS)
+            + ledger.bytes(phases::BWD_COMPRESS)
+            - self.codec_bytes_mark) as f64;
         for (local_idx, &t) in owned.iter().enumerate() {
             let (orig, comp) = (
                 fwd_traffic[t].0 - self.traffic_mark[t].0,
                 fwd_traffic[t].1 - self.traffic_mark[t].1,
             );
-            window_orig += orig;
-            window_comp += comp;
-            blob.extend_from_slice(&(t as u64).to_le_bytes());
-            blob.extend_from_slice(&orig.to_le_bytes());
-            blob.extend_from_slice(&comp.to_le_bytes());
             // A missing probe (no probe iteration ran yet) reports the
             // measured ratio for every candidate: selection then holds.
-            let fallback = if comp == 0 {
-                1.0
-            } else {
-                orig as f64 / comp as f64
+            let candidate_ratios = match self.probe_ratios.get_mut(local_idx) {
+                Some(ratios) => std::mem::take(ratios),
+                None => {
+                    let fallback = if comp == 0 {
+                        1.0
+                    } else {
+                        orig as f64 / comp as f64
+                    };
+                    vec![fallback; self.candidates.len()]
+                }
             };
-            for c in 0..self.candidates.len() {
-                let ratio = self
-                    .probe_ratios
-                    .get(local_idx)
-                    .and_then(|r| r.get(c))
-                    .copied()
-                    .unwrap_or(fallback);
-                blob.extend_from_slice(&ratio.to_le_bytes());
-            }
+            share.tables.push(TableObservation {
+                table_id: t,
+                original_bytes: orig,
+                compressed_bytes: comp,
+                candidate_ratios,
+            });
         }
+        self.window_traffic
+            .push(share.tables.iter().fold((0, 0), |(o, c), t| {
+                (o + t.original_bytes, c + t.compressed_bytes)
+            }));
 
-        // ── Exchange: every rank sends its blob to every rank over pool
+        // ── Exchange: every rank sends its share to every rank over pool
         // leases (an all-gather on the metadata plane).
-        let cap = self.blob_capacity(owned.len()).max(self.blob.len());
-        send.clear();
-        for _ in 0..world {
-            let mut b = ctx.take_buf(cap);
-            b.extend_from_slice(&self.blob);
-            send.push(b);
-        }
-        let stats = ctx.all_to_all_pooled(send, recv);
-        // Charged as extra *bytes*, not an extra collective: the blob is
+        self.blob.clear();
+        share.encode_into(&mut self.blob);
+        let stats = ctx.all_gather_pooled(&self.blob, self.share_len(owned.len()), send, recv);
+        // Charged as extra *bytes*, not an extra collective: the share is
         // metadata-sized and rides the α already paid by the iteration's
         // forward all-to-all (exactly how the variable collective's size
         // records travel), so only the bandwidth term is charged here.
@@ -1737,64 +1707,18 @@ impl ControllerState {
         ledger.add_bytes(phases::CONTROLLER, (stats.sent + stats.received) as u64);
 
         // ── Assemble the global observation (identical on every rank: the
-        // same blobs arrive in the same rank order everywhere).
-        let mut loss_sum = 0.0f64;
-        let mut loss_n = 0u64;
-        let mut wire = (0.0f64, 0.0f64);
-        let mut intra = (0.0f64, 0.0f64);
-        let mut codec = (0.0f64, 0.0f64);
-        let mut tables: Vec<TableObservation> = Vec::new();
-        for chunk in recv.iter() {
-            // Every field is one little-endian 8-byte word, read in the
-            // order it was written above.
-            let mut words = chunk
-                .chunks_exact(8)
-                .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")));
-            let mut next = || words.next().expect("observation blob is complete");
-            loss_sum += f64::from_bits(next());
-            loss_n += next();
-            wire.0 += f64::from_bits(next());
-            wire.1 += f64::from_bits(next());
-            intra.0 += f64::from_bits(next());
-            intra.1 += f64::from_bits(next());
-            codec.0 += f64::from_bits(next());
-            codec.1 += f64::from_bits(next());
-            for _ in 0..next() {
-                tables.push(TableObservation {
-                    table_id: next() as usize,
-                    original_bytes: next(),
-                    compressed_bytes: next(),
-                    candidate_ratios: (0..self.candidates.len())
-                        .map(|_| f64::from_bits(next()))
-                        .collect(),
-                });
-            }
-        }
-        recv.clear(); // release the leases back to their origin pools
-        tables.sort_by_key(|t| t.table_id);
-
-        let effective_bandwidth = if wire.1 > 0.0 {
-            wire.0 / wire.1
-        } else {
-            cost.config().alltoall_bandwidth
-        };
-        let intra_bandwidth = (hierarchical && intra.1 > 0.0).then(|| intra.0 / intra.1);
-        let obs = WindowObservation {
-            iteration: iter,
-            effective_bandwidth,
-            intra_bandwidth,
-            mean_loss: if loss_n > 0 {
-                loss_sum / loss_n as f64
-            } else {
-                0.0
-            },
-            measured_compress_throughput: if codec.1 > 0.0 {
-                codec.0 / codec.1
-            } else {
-                0.0
-            },
-            tables,
-        };
+        // same shares arrive in the same rank order everywhere); draining
+        // releases the leases back to their origin pools.
+        let candidates = self.candidates.len();
+        let shares = recv.drain(..).enumerate().map(|(src, chunk)| {
+            ObservationShare::decode(&chunk, candidates).unwrap_or_else(|e| {
+                panic!(
+                    "rank {}: observation share from rank {src} at iteration {iter}: {e}",
+                    ctx.rank()
+                )
+            })
+        });
+        let obs = WindowObservation::from_shares(iter, shares, cost.config().alltoall_bandwidth);
 
         // ── Decide and apply. A fault-degraded network drops the
         // hysteresis guard so the controller reacts within one window.
@@ -1807,14 +1731,8 @@ impl ControllerState {
         tags.fill(tag);
 
         // ── Roll the window state.
-        self.window_traffic.push((window_orig, window_comp));
         self.traffic_mark.copy_from_slice(fwd_traffic);
-        self.loss_sum = 0.0;
-        self.loss_n = 0;
-        self.wire_bytes = 0.0;
-        self.wire_seconds = 0.0;
-        self.intra_bytes = 0.0;
-        self.intra_seconds = 0.0;
+        self.share = ObservationShare::default();
         self.codec_seconds_mark =
             ledger.seconds(phases::FWD_COMPRESS) + ledger.seconds(phases::BWD_COMPRESS);
         self.codec_bytes_mark =
@@ -2116,7 +2034,6 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                     &mut ledger,
                     &mut scratch.send,
                     &mut scratch.recv,
-                    hier_iter.is_some(),
                     plan.is_some_and(|p| p.degraded_at(iter)),
                 );
                 if let Some(o) = clock.obs.as_mut() {
@@ -2190,8 +2107,8 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
         ledger.add_time(phases::MLP_FWD, t0.elapsed().as_secs_f64() * compute_scale);
         per_iteration.push(EvalMetrics::from_logits(&cache.logits, &my_shard.labels));
         if let Some(state) = controller.as_mut() {
-            state.loss_sum += per_iteration.last().expect("just pushed").loss;
-            state.loss_n += 1;
+            state.share.loss_sum += per_iteration.last().expect("just pushed").loss;
+            state.share.loss_count += 1;
         }
         clock.close(phases::MLP_FWD, &mut ledger, &scratch, 0);
 
@@ -2528,9 +2445,9 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
             }
             if let Some(state) = &controller {
                 // The window-boundary observation exchange takes one
-                // blob-sized lease per peer; park two sets so a boundary
+                // share-sized lease per peer; park two sets so a boundary
                 // racing peers' in-flight returns never allocates.
-                let cap = state.blob_capacity(owned.len()).max(64);
+                let cap = state.share_len(owned.len()).max(64);
                 let spares: Vec<PooledBuf> = (0..2 * world).map(|_| ctx.take_buf(cap)).collect();
                 drop(spares);
             }
