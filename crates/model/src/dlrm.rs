@@ -246,7 +246,7 @@ impl Dlrm {
         let (grad_inter_out, top_grads) = self.top.backward(&cache.top, &grad_logits);
         let (grad_bottom_out, embedding_grads) =
             interaction::backward(&cache.interaction, &grad_inter_out);
-        let (_, bottom_grads) = self.bottom.backward(&cache.bottom, &grad_bottom_out);
+        let bottom_grads = self.bottom.param_grads(&cache.bottom, &grad_bottom_out);
         DenseGrads {
             bottom: bottom_grads,
             top: top_grads,
@@ -305,7 +305,7 @@ impl Dlrm {
     }
 
     /// Apply a flat gradient vector produced by [`Dlrm::flatten_mlp_grads`]
-    /// (possibly averaged across ranks) with SGD.
+    /// (possibly averaged across ranks) with SGD, in place.
     pub fn apply_flat_mlp_grads(&mut self, flat: &[f32], lr: f32) {
         let split = self.bottom.num_params();
         assert_eq!(
@@ -313,10 +313,8 @@ impl Dlrm {
             self.mlp_param_count(),
             "flat gradient size mismatch"
         );
-        let bottom = self.bottom.unflatten_grads(&flat[..split]);
-        let top = self.top.unflatten_grads(&flat[split..]);
-        self.bottom.apply_grads(&bottom, lr);
-        self.top.apply_grads(&top, lr);
+        self.bottom.apply_flat_grads(&flat[..split], lr);
+        self.top.apply_flat_grads(&flat[split..], lr);
     }
 
     /// One single-process SGD step on a mini-batch. Returns pre-update

@@ -61,6 +61,13 @@ pub fn forward(bottom: &Matrix, embeddings: &[Matrix]) -> (Matrix, InteractionCa
 /// Backward pass: given the gradient w.r.t. the interaction output, produce
 /// the gradient w.r.t. the bottom-MLP output and w.r.t. each embedding
 /// lookup matrix (one per table, in table order).
+///
+/// Per sample, the `F` feature rows are gathered into one contiguous
+/// `F·dim` block and the gradients accumulate in another, so the pair loop
+/// runs over contiguous slices the compiler can vectorise. Each gradient
+/// element starts at `+0.0` and adds its terms in a fixed order: the
+/// pass-through, then pairs `(a, b<a)` in turn, skipping exactly-zero pair
+/// gradients.
 pub fn backward(cache: &InteractionCache, grad_output: &Matrix) -> (Matrix, Vec<Matrix>) {
     let features = &cache.features;
     let f = features.len();
@@ -70,29 +77,42 @@ pub fn backward(cache: &InteractionCache, grad_output: &Matrix) -> (Matrix, Vec<
     assert_eq!(grad_output.cols(), output_dim(dim, f - 1));
 
     let mut grads: Vec<Matrix> = (0..f).map(|_| Matrix::zeros(batch, dim)).collect();
+    let mut rows = vec![0.0f32; f * dim];
+    let mut acc = vec![0.0f32; f * dim];
     for i in 0..batch {
+        for (t, feature) in features.iter().enumerate() {
+            rows[t * dim..(t + 1) * dim].copy_from_slice(feature.row(i));
+        }
+        acc.fill(0.0);
         let grow = grad_output.row(i);
         // Direct pass-through of the concatenated bottom output.
-        for (d, g) in grads[0].row_mut(i).iter_mut().zip(grow[..dim].iter()) {
+        for (d, g) in acc[..dim].iter_mut().zip(&grow[..dim]) {
             *d += g;
         }
         // Pairwise dot products: d z_ab / d v_a = v_b and vice versa.
         let mut k = dim;
         for a in 0..f {
+            let va = &rows[a * dim..(a + 1) * dim];
+            let (below, from_a) = acc.split_at_mut(a * dim);
+            let ga = &mut from_a[..dim];
             for b in 0..a {
                 let g = grow[k];
                 k += 1;
                 if g == 0.0 {
                     continue;
                 }
+                let vb = &rows[b * dim..(b + 1) * dim];
+                let gb = &mut below[b * dim..(b + 1) * dim];
                 // grads[a] += g * features[b]; grads[b] += g * features[a].
-                for d in 0..dim {
-                    let va = features[a].row(i)[d];
-                    let vb = features[b].row(i)[d];
-                    grads[a].row_mut(i)[d] += g * vb;
-                    grads[b].row_mut(i)[d] += g * va;
+                for (((ga, gb), &va), &vb) in ga.iter_mut().zip(gb).zip(va).zip(vb) {
+                    *ga += g * vb;
+                    *gb += g * va;
                 }
             }
+        }
+        for (t, grad) in grads.iter_mut().enumerate() {
+            grad.row_mut(i)
+                .copy_from_slice(&acc[t * dim..(t + 1) * dim]);
         }
     }
     let bottom_grad = grads.remove(0);
@@ -113,6 +133,106 @@ mod tests {
             })
             .collect();
         (bottom, embeddings)
+    }
+
+    /// Exact-bits reference for [`backward`]: the same additions in the same
+    /// order, element by element, straight on the per-feature matrices.
+    fn backward_by_element(
+        cache: &InteractionCache,
+        grad_output: &Matrix,
+    ) -> (Matrix, Vec<Matrix>) {
+        let features = &cache.features;
+        let f = features.len();
+        let batch = features[0].rows();
+        let dim = features[0].cols();
+        let mut grads: Vec<Matrix> = (0..f).map(|_| Matrix::zeros(batch, dim)).collect();
+        for i in 0..batch {
+            let grow = grad_output.row(i);
+            for (d, g) in grads[0].row_mut(i).iter_mut().zip(grow[..dim].iter()) {
+                *d += g;
+            }
+            let mut k = dim;
+            for a in 0..f {
+                for b in 0..a {
+                    let g = grow[k];
+                    k += 1;
+                    if g == 0.0 {
+                        continue;
+                    }
+                    for d in 0..dim {
+                        let va = features[a].row(i)[d];
+                        let vb = features[b].row(i)[d];
+                        grads[a].row_mut(i)[d] += g * vb;
+                        grads[b].row_mut(i)[d] += g * va;
+                    }
+                }
+            }
+        }
+        let bottom_grad = grads.remove(0);
+        (bottom_grad, grads)
+    }
+
+    fn assert_backward_matches_reference(cache: &InteractionCache, grad_out: &Matrix) {
+        let (bottom, tables) = backward(cache, grad_out);
+        let (ref_bottom, ref_tables) = backward_by_element(cache, grad_out);
+        assert_eq!(tables.len(), ref_tables.len());
+        for (t, (got, want)) in std::iter::once((&bottom, &ref_bottom))
+            .chain(tables.iter().zip(&ref_tables))
+            .enumerate()
+        {
+            assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+            for (e, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "feature {t} element {e}: {x} vs {y}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn backward_is_bit_identical_to_element_loop() {
+        // Kaggle-like: F = 27 (26 tables + bottom), dim 32, rank batch 128.
+        let (bottom, embs) = setup(128, 32, 26);
+        let (_, cache) = forward(&bottom, &embs);
+        let width = output_dim(32, 26);
+        let grad_out = Matrix::from_fn(128, width, |r, c| {
+            ((r * width + c) as f32 * 0.011).sin() * 0.01
+        });
+        assert_backward_matches_reference(&cache, &grad_out);
+        // Edge shapes: one sample, one table, dim 1.
+        for (batch, dim, tables) in [(1, 32, 26), (5, 1, 3), (4, 6, 1), (1, 1, 1)] {
+            let (bottom, embs) = setup(batch, dim, tables);
+            let (_, cache) = forward(&bottom, &embs);
+            let width = output_dim(dim, tables);
+            let grad_out = Matrix::from_fn(batch, width, |r, c| ((r + 3 * c) as f32 * 0.37).cos());
+            assert_backward_matches_reference(&cache, &grad_out);
+        }
+    }
+
+    #[test]
+    fn backward_keeps_signed_zeros_and_zero_pair_gradients() {
+        // Gradients of +0.0 and -0.0 (pass-through and pairs) and whole
+        // samples whose gradients are exactly zero; features with signed
+        // zeros, and an infinite feature in an all-zero-gradient sample.
+        // Adding -0.0 to a +0.0 start, or not skipping an exactly-zero pair
+        // gradient (0 · inf is NaN), would change these bits.
+        let (mut bottom, mut embs) = setup(6, 4, 3);
+        bottom.set(1, 2, -0.0);
+        embs[0].set(2, 0, 0.0);
+        embs[2].set(3, 3, -0.0);
+        embs[1].set(4, 2, f32::INFINITY);
+        let (_, cache) = forward(&bottom, &embs);
+        let width = output_dim(4, 3);
+        let grad_out = Matrix::from_fn(6, width, |r, c| match (r, (r + c) % 4) {
+            (4, _) => 0.0,
+            (5, _) => -0.0,
+            (_, 0) => 0.0,
+            (_, 1) => -0.0,
+            _ => ((r * width + c) as f32 * 0.23).sin(),
+        });
+        assert_backward_matches_reference(&cache, &grad_out);
     }
 
     #[test]

@@ -15,6 +15,20 @@ struct Linear {
     b: Vec<f32>,
 }
 
+impl Linear {
+    /// SGD step from the layer's gradients: `w += (-lr)·gw`, `b -= lr·gb`.
+    fn sgd(&mut self, gw: &[f32], gb: &[f32], lr: f32) {
+        assert_eq!(gw.len(), self.w.len(), "weight gradient length mismatch");
+        assert_eq!(gb.len(), self.b.len(), "bias gradient length mismatch");
+        for (w, g) in self.w.as_mut_slice().iter_mut().zip(gw) {
+            *w += -lr * g;
+        }
+        for (b, g) in self.b.iter_mut().zip(gb) {
+            *b -= lr * g;
+        }
+    }
+}
+
 /// An MLP: `dims[0] -> dims[1] -> … -> dims.last()`, ReLU after every layer
 /// except the last.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -110,18 +124,37 @@ impl Mlp {
     /// Returns the gradient w.r.t. the MLP input and the per-layer parameter
     /// gradients.
     pub fn backward(&self, cache: &MlpCache, grad_output: &Matrix) -> (Matrix, MlpGrads) {
+        let (grad, grads) = self.backprop(cache, grad_output);
+        (grad.matmul_bt(&self.layers[0].w), grads)
+    }
+
+    /// [`Mlp::backward`] without the gradient w.r.t. the MLP input, for an
+    /// MLP whose input is data (the DLRM's bottom MLP).
+    pub fn param_grads(&self, cache: &MlpCache, grad_output: &Matrix) -> MlpGrads {
+        self.backprop(cache, grad_output).1
+    }
+
+    /// Per-layer parameter gradients and the gradient w.r.t. the first
+    /// layer's pre-activation output, which [`Mlp::backward`] carries back
+    /// through the first layer's weights to the input.
+    fn backprop(&self, cache: &MlpCache, grad_output: &Matrix) -> (Matrix, MlpGrads) {
         let mut weights = vec![Matrix::zeros(0, 0); self.layers.len()];
         let mut biases = vec![Vec::new(); self.layers.len()];
         let mut grad = grad_output.clone();
         for li in (0..self.layers.len()).rev() {
             // Output layer is linear; hidden layers pass through ReLU.
             if li + 1 < self.layers.len() {
-                let mask = cache.pre_acts[li].map(ops::relu_grad);
-                grad = grad.hadamard(&mask);
+                let pre = &cache.pre_acts[li];
+                assert_eq!((grad.rows(), grad.cols()), (pre.rows(), pre.cols()));
+                for (g, &z) in grad.as_mut_slice().iter_mut().zip(pre.as_slice()) {
+                    *g *= ops::relu_grad(z);
+                }
             }
             weights[li] = cache.inputs[li].matmul_at(&grad);
             biases[li] = grad.column_sums();
-            grad = grad.matmul_bt(&self.layers[li].w);
+            if li > 0 {
+                grad = grad.matmul_bt(&self.layers[li].w);
+            }
         }
         (grad, MlpGrads { weights, biases })
     }
@@ -134,10 +167,27 @@ impl Mlp {
             .iter_mut()
             .zip(grads.weights.iter().zip(grads.biases.iter()))
         {
-            layer.w.axpy(-lr, gw);
-            for (b, g) in layer.b.iter_mut().zip(gb.iter()) {
-                *b -= lr * g;
-            }
+            layer.sgd(gw.as_slice(), gb, lr);
+        }
+    }
+
+    /// [`Mlp::apply_grads`] straight from a flat vector laid out as
+    /// [`Mlp::flatten_grads`] produces, without rebuilding [`MlpGrads`].
+    ///
+    /// # Panics
+    /// Panics unless `flat.len() == self.num_params()`.
+    pub fn apply_flat_grads(&mut self, flat: &[f32], lr: f32) {
+        assert_eq!(
+            flat.len(),
+            self.num_params(),
+            "flat gradient length mismatch"
+        );
+        let mut pos = 0usize;
+        for layer in &mut self.layers {
+            let (wlen, blen) = (layer.w.len(), layer.b.len());
+            let (gw, gb) = flat[pos..pos + wlen + blen].split_at(wlen);
+            layer.sgd(gw, gb, lr);
+            pos += wlen + blen;
         }
     }
 
@@ -187,27 +237,6 @@ impl Mlp {
             pos += blen;
         }
         assert_eq!(pos, flat.len(), "flat parameter length mismatch");
-    }
-
-    /// Rebuild structured gradients from a flat vector produced by
-    /// [`Mlp::flatten_grads`] (shapes come from this MLP).
-    pub fn unflatten_grads(&self, flat: &[f32]) -> MlpGrads {
-        let mut weights = Vec::with_capacity(self.layers.len());
-        let mut biases = Vec::with_capacity(self.layers.len());
-        let mut pos = 0usize;
-        for layer in &self.layers {
-            let wlen = layer.w.len();
-            weights.push(Matrix::from_vec(
-                layer.w.rows(),
-                layer.w.cols(),
-                flat[pos..pos + wlen].to_vec(),
-            ));
-            pos += wlen;
-            biases.push(flat[pos..pos + layer.b.len()].to_vec());
-            pos += layer.b.len();
-        }
-        assert_eq!(pos, flat.len(), "flat gradient length mismatch");
-        MlpGrads { weights, biases }
     }
 }
 
@@ -306,15 +335,34 @@ mod tests {
     }
 
     #[test]
-    fn flatten_unflatten_roundtrip() {
+    fn flat_update_matches_structured_update() {
         let mlp = tiny_mlp();
         let x = Matrix::from_fn(3, 4, |r, c| (r * c) as f32 * 0.05);
         let (y, cache) = mlp.forward(&x);
         let (_, grads) = mlp.backward(&cache, &y);
         let flat = Mlp::flatten_grads(&grads);
         assert_eq!(flat.len(), mlp.num_params());
-        let rebuilt = mlp.unflatten_grads(&flat);
-        assert_eq!(rebuilt, grads);
+        let mut via_flat = mlp.clone();
+        via_flat.apply_flat_grads(&flat, 0.1);
+        let mut direct = mlp.clone();
+        direct.apply_grads(&grads, 0.1);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        via_flat.flatten_params_into(&mut a);
+        direct.flatten_params_into(&mut b);
+        assert_eq!(
+            a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        assert_ne!(via_flat, mlp, "the update changed nothing");
+    }
+
+    #[test]
+    fn param_grads_equal_backward_grads() {
+        let mlp = tiny_mlp();
+        let x = Matrix::from_fn(5, 4, |r, c| ((r * 4 + c) as f32 * 0.45).sin());
+        let (y, cache) = mlp.forward(&x);
+        let (_, grads) = mlp.backward(&cache, &y);
+        assert_eq!(mlp.param_grads(&cache, &y), grads);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! Design notes (following the hpc-parallel guides used in this project):
 //!
 //! * All hot loops operate on contiguous `&[f32]` slices so the compiler can
-//!   auto-vectorise; matrix multiplication is cache-blocked and parallelised
-//!   over row blocks with rayon when the problem is large enough.
+//!   auto-vectorise; matrix multiplication runs sequentially, one output row
+//!   at a time (thread-level parallelism lives in `dlrm-exec`'s
+//!   thread-per-rank executor, not inside a kernel).
 //! * No `unsafe` is used; bounds checks in inner loops are avoided by slicing
 //!   rows up front.
 //! * All randomness goes through [`rng::SeededRng`] so every experiment is

@@ -2,15 +2,11 @@
 //!
 //! [`Matrix`] is the only tensor type the DLRM reproduction needs: embedding
 //! batches, MLP weights and activations are all 2-D. The implementation is
-//! deliberately simple — contiguous storage, cache-blocked matmul, rayon
-//! parallelism over row blocks for large products — and avoids `unsafe`.
+//! deliberately simple — contiguous storage, sequential row kernels whose
+//! inner loops run over contiguous output rows so the compiler can
+//! vectorise them — and avoids `unsafe`.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Problems with at least this many multiply–adds go through the parallel
-/// matmul path; smaller ones stay sequential to avoid rayon overhead.
-const PAR_FLOP_THRESHOLD: usize = 1 << 18;
 
 /// Cache block edge (in elements) for the blocked matmul kernels.
 const BLOCK: usize = 64;
@@ -146,54 +142,36 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        let flops = self.rows * self.cols * other.cols;
-        if flops >= PAR_FLOP_THRESHOLD && self.rows > 1 {
-            let cols = self.cols;
-            let ocols = other.cols;
-            out.data
-                .par_chunks_mut(ocols)
-                .enumerate()
-                .for_each(|(r, out_row)| {
-                    let a_row = &self.data[r * cols..(r + 1) * cols];
-                    matmul_row(a_row, &other.data, ocols, out_row);
-                });
-        } else {
-            for r in 0..self.rows {
-                let a_row = self.row(r);
-                let out_row = &mut out.data[r * other.cols..(r + 1) * other.cols];
-                matmul_row(a_row, &other.data, other.cols, out_row);
-            }
+        for r in 0..self.rows {
+            let out_row = &mut out.data[r * other.cols..(r + 1) * other.cols];
+            matmul_row(self.row(r), &other.data, other.cols, out_row);
         }
         out
     }
 
-    /// `self @ other.T` — useful for computing gradients without materialising
-    /// the transpose.
+    /// `self @ other.T` — useful for computing gradients.
+    ///
+    /// Bit-identical to taking [`dot`] of every row pair: `other` is
+    /// transposed once, and every output element then accumulates the same
+    /// products in the same order, from the same `-0.0` start as the `f32`
+    /// `Sum` fold, with no multiplier skipped.
     pub fn matmul_bt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
             "matmul_bt shape mismatch: {}x{} @ ({}x{})^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        let cols = self.cols;
+        let bt = other.transpose();
         let orows = other.rows;
-        let body = |r: usize, out_row: &mut [f32]| {
-            let a_row = &self.data[r * cols..(r + 1) * cols];
-            for (j, o) in out_row.iter_mut().enumerate().take(orows) {
-                let b_row = &other.data[j * cols..(j + 1) * cols];
-                *o = dot(a_row, b_row);
-            }
-        };
-        if self.rows * self.cols * other.rows >= PAR_FLOP_THRESHOLD && self.rows > 1 {
-            out.data
-                .par_chunks_mut(orows)
-                .enumerate()
-                .for_each(|(r, out_row)| body(r, out_row));
-        } else {
-            for r in 0..self.rows {
-                let out_row = &mut out.data[r * orows..(r + 1) * orows];
-                body(r, out_row);
+        let mut out = Matrix::zeros(self.rows, orows);
+        for r in 0..self.rows {
+            let out_row = &mut out.data[r * orows..(r + 1) * orows];
+            out_row.fill(-0.0);
+            for (k, &a) in self.row(r).iter().enumerate() {
+                let bt_row = &bt.data[k * orows..(k + 1) * orows];
+                for (o, &b) in out_row.iter_mut().zip(bt_row) {
+                    *o += a * b;
+                }
             }
         }
         out
@@ -250,34 +228,9 @@ impl Matrix {
         }
     }
 
-    /// In-place `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &Matrix) {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-    }
-
     /// In-place scaling.
     pub fn scale(&mut self, alpha: f32) {
         self.data.iter_mut().for_each(|x| *x *= alpha);
-    }
-
-    /// Element-wise product into a new matrix (Hadamard product).
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a * b)
-                .collect(),
-        }
     }
 
     /// Sum over rows producing a length-`cols` vector (used for bias grads).
@@ -392,12 +345,90 @@ mod tests {
     }
 
     #[test]
-    fn matmul_parallel_path_matches_naive() {
+    fn matmul_large_matches_naive() {
         let a = Matrix::from_fn(130, 70, |r, c| ((r * 31 + c * 7) % 13) as f32 * 0.05 - 0.3);
         let b = Matrix::from_fn(70, 90, |r, c| ((r * 17 + c * 3) % 11) as f32 * 0.02 - 0.1);
         let fast = a.matmul(&b);
         let slow = naive_matmul(&a, &b);
         assert!(fast.max_abs_diff(&slow) < 1e-3);
+    }
+
+    /// Exact-bits reference for `matmul_bt`: one [`dot`] per output element.
+    fn matmul_bt_by_dot(a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.rows(), b.rows(), |r, j| dot(a.row(r), b.row(j)))
+    }
+
+    fn assert_same_bits(fast: &Matrix, reference: &Matrix) {
+        assert_eq!(
+            (fast.rows(), fast.cols()),
+            (reference.rows(), reference.cols())
+        );
+        for (i, (x, y)) in fast.as_slice().iter().zip(reference.as_slice()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "element {i}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn matmul_bt_is_bit_identical_to_dot_per_element() {
+        // Kaggle-like top-MLP input gradient: 128x128 @ (383x128)^T.
+        let g = Matrix::from_fn(128, 128, |r, c| {
+            ((r * 131 + c * 7) as f32 * 0.013).sin() * 0.1
+        });
+        let w = Matrix::from_fn(383, 128, |r, c| {
+            ((r * 17 + c * 29) as f32 * 0.007).cos() * 0.05
+        });
+        assert_same_bits(&g.matmul_bt(&w), &matmul_bt_by_dot(&g, &w));
+        // Edge shapes: one row, one column, one output column, empty inner.
+        for (m, k, n) in [(1, 37, 5), (9, 1, 6), (4, 11, 1), (1, 1, 1), (3, 0, 2)] {
+            let a = Matrix::from_fn(m, k, |r, c| (r as f32 * 0.7 - c as f32 * 0.3).sin());
+            let b = Matrix::from_fn(n, k, |r, c| (r as f32 * 0.2 + c as f32 * 0.9).cos());
+            assert_same_bits(&a.matmul_bt(&b), &matmul_bt_by_dot(&a, &b));
+        }
+    }
+
+    #[test]
+    fn matmul_bt_keeps_signed_zeros_and_zero_multipliers() {
+        // Signed zeros, all-zero rows and zero multipliers against
+        // infinities: skipping a zero or starting the fold from +0.0 would
+        // change these bits.
+        let a = Matrix::from_vec(
+            4,
+            3,
+            vec![
+                0.0, -0.0, 0.0, //
+                -0.0, -0.0, -0.0, //
+                0.0, 1.5, -2.0, //
+                -0.0, 0.25, 0.0,
+            ],
+        );
+        let b = Matrix::from_vec(
+            5,
+            3,
+            vec![
+                1.0,
+                -1.0,
+                2.0, //
+                -0.0,
+                0.0,
+                -0.0, //
+                f32::INFINITY,
+                1.0,
+                1.0, //
+                -3.0,
+                0.0,
+                -0.5, //
+                0.0,
+                0.0,
+                0.0,
+            ],
+        );
+        assert_same_bits(&a.matmul_bt(&b), &matmul_bt_by_dot(&a, &b));
+        let empty: f32 = [].iter().sum();
+        assert_eq!(
+            empty.to_bits(),
+            (-0.0f32).to_bits(),
+            "f32 Sum folds from -0.0"
+        );
     }
 
     #[test]
@@ -460,11 +491,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
-        let mut a = Matrix::filled(2, 2, 1.0);
-        let b = Matrix::filled(2, 2, 2.0);
-        a.axpy(0.5, &b);
-        assert_eq!(a.as_slice(), &[2.0, 2.0, 2.0, 2.0]);
+    fn scale_multiplies_in_place() {
+        let mut a = Matrix::filled(2, 2, 2.0);
         a.scale(0.25);
         assert_eq!(a.as_slice(), &[0.5, 0.5, 0.5, 0.5]);
     }
@@ -481,13 +509,6 @@ mod tests {
     #[should_panic]
     fn from_vec_wrong_len_panics() {
         let _ = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn hadamard_multiplies_elementwise() {
-        let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let b = Matrix::from_vec(1, 3, vec![4.0, 5.0, 6.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[4.0, 10.0, 18.0]);
     }
 
     #[test]
