@@ -10,13 +10,15 @@
 //!
 //! The CPU analogue implemented here:
 //!
-//! * [`compress_chunks_fused`] — compress all chunks **in parallel** (rayon)
-//!   and reserve each chunk's span in the shared send buffer with an atomic
-//!   fetch-add, writing each compressed chunk exactly once.
+//! * [`compress_chunks_fused`] — compress every chunk independently and
+//!   reserve each chunk's span in the shared send buffer with an atomic
+//!   fetch-add, writing each compressed chunk exactly once. The chunks share
+//!   no state, which is what lets a GPU run them as one fused kernel; on the
+//!   CPU they run one after another.
 //! * [`compress_chunks_naive`] — sequential per-chunk compression followed by
 //!   a gathering copy, the baseline of Figure 15.
 //! * [`decompress_chunks_parallel`] / [`decompress_chunks_serial`] — the two
-//!   decompression paths.
+//!   decompression paths; on the CPU both decode the chunks in order.
 //!
 //! Both paths produce the same logical result (tests assert byte-identical
 //! decompressed output), so the only difference benchmarks see is time.
@@ -24,7 +26,6 @@
 use crate::registry::Compressor;
 use crate::scratch::CompressScratch;
 use crate::Result;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -56,34 +57,30 @@ impl FusedBuffer {
     }
 }
 
-/// Fused path: compress every chunk in parallel and write each one directly
-/// into its reserved span of the shared output buffer.
+/// Fused path: compress every chunk independently and write each one
+/// directly into its reserved span of the shared output buffer.
 pub fn compress_chunks_fused(
     compressor: &dyn Compressor,
     chunks: &[&[f32]],
     dim: usize,
     eb: f32,
 ) -> Result<FusedBuffer> {
-    // Compress in parallel. Each worker produces its chunk's bytes; the
-    // shared cursor (the paper's Atomic Add) assigns the output offset as
-    // soon as the size is known, so writes into the send buffer never
-    // overlap and need no further coordination.
-    let compressed: Vec<Result<Vec<u8>>> = chunks
-        .par_iter()
+    // Each chunk is compressed on its own; the shared cursor (the paper's
+    // Atomic Add) assigns the output offset as soon as the size is known,
+    // so writes into the send buffer never overlap and need no further
+    // coordination.
+    let payloads = chunks
+        .iter()
         .map(|chunk| compressor.compress(chunk, dim, eb))
-        .collect();
-    let mut payloads = Vec::with_capacity(chunks.len());
-    for c in compressed {
-        payloads.push(c?);
-    }
+        .collect::<Result<Vec<Vec<u8>>>>()?;
 
     let total: usize = payloads.iter().map(Vec::len).sum();
     let mut bytes = vec![0u8; total];
     let cursor = AtomicUsize::new(0);
     let mut spans = vec![(0usize, 0usize); payloads.len()];
 
-    // Reserve spans with the atomic cursor, then scatter the writes in
-    // parallel over disjoint slices of the send buffer.
+    // Reserve spans with the atomic cursor, then scatter the writes over
+    // disjoint slices of the send buffer.
     for (i, payload) in payloads.iter().enumerate() {
         let off = cursor.fetch_add(payload.len(), Ordering::Relaxed);
         spans[i] = (off, payload.len());
@@ -98,10 +95,9 @@ pub fn compress_chunks_fused(
             slices.push(head);
             rest = tail;
         }
-        slices
-            .into_par_iter()
-            .zip(payloads.par_iter())
-            .for_each(|(dst, src)| dst.copy_from_slice(src));
+        for (dst, src) in slices.into_iter().zip(&payloads) {
+            dst.copy_from_slice(src);
+        }
     }
     Ok(FusedBuffer { bytes, spans })
 }
@@ -317,16 +313,14 @@ pub fn compress_chunks_naive(
     Ok(FusedBuffer { bytes, spans })
 }
 
-/// Decompress every chunk of a fused buffer in parallel.
+/// Decompress every chunk of a fused buffer. The decodes are independent
+/// (on a GPU, one parallel launch); on the CPU they run in order, so this is
+/// [`decompress_chunks_serial`].
 pub fn decompress_chunks_parallel(
     compressor: &dyn Compressor,
     buffer: &FusedBuffer,
 ) -> Result<Vec<Vec<f32>>> {
-    let results: Vec<Result<Vec<f32>>> = (0..buffer.num_chunks())
-        .into_par_iter()
-        .map(|i| compressor.decompress(buffer.chunk(i)))
-        .collect();
-    results.into_iter().collect()
+    decompress_chunks_serial(compressor, buffer)
 }
 
 /// Decompress every chunk serially (the baseline of Figure 15's bottom half).

@@ -130,7 +130,11 @@ impl SyntheticCriteo {
         let rotation_steps = drift.map_or(0, |d| d.rotation_steps(batch_index));
 
         let mut dense = Matrix::zeros(batch_size, num_dense);
-        let mut sparse: Vec<Vec<u32>> = vec![Vec::with_capacity(batch_size); num_tables];
+        // One allocation per column: `vec![v; n]` clones `v`, and a cloned
+        // `Vec` does not keep the reserved capacity.
+        let mut sparse: Vec<Vec<u32>> = (0..num_tables)
+            .map(|_| Vec::with_capacity(batch_size))
+            .collect();
         let mut labels = Vec::with_capacity(batch_size);
 
         for i in 0..batch_size {

@@ -33,11 +33,13 @@ pub mod batch;
 pub mod config;
 pub mod generator;
 pub mod presets;
+pub mod stream;
 pub mod traffic;
 pub mod zipf;
 
 pub use batch::MiniBatch;
 pub use config::{DatasetConfig, TableProfile, TrafficDrift, ValueDistribution};
 pub use generator::SyntheticCriteo;
+pub use stream::BatchStream;
 pub use traffic::EmbeddingTrafficGenerator;
 pub use zipf::Zipf;

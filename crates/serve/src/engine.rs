@@ -9,8 +9,9 @@
 //!
 //! ## One batch window
 //!
-//! 1. Every frontend draws the **same** request batch from the shared-seed
-//!    generator and walks its own slice (`request_id % frontends == rank`):
+//! 1. Every frontend takes the **same** request batch from one
+//!    [`BatchStream`] shared by the run (drawn once, by whichever frontend
+//!    asks first) and walks its own slice (`request_id % frontends == rank`):
 //!    rows on the local shard are gathered directly from the trained
 //!    weights, remote rows probe the hot-row LRU, and misses fall into the
 //!    per-owner [`BatchCoalescer`].
@@ -54,7 +55,7 @@ use dlrm_comm::pool::PooledBuf;
 use dlrm_comm::topology::TieredCostModel;
 use dlrm_comm::{CostModel, TimingLedger, WirePolicy};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
-use dlrm_data::{DatasetConfig, SyntheticCriteo};
+use dlrm_data::{BatchStream, DatasetConfig};
 use dlrm_exec::Executor;
 use dlrm_grad::{GradCodecKind, GradScratch};
 use dlrm_model::{Dlrm, DlrmConfig};
@@ -106,6 +107,9 @@ struct Setup {
     cfg: ServeConfig,
     partition: TablePartition,
     checkpoint: Option<Checkpoint>,
+    /// The request windows, indexed by window: drawn once, shared by every
+    /// frontend.
+    requests: BatchStream,
 }
 
 /// Everything one rank hands back to the merge step. All charges are
@@ -177,6 +181,7 @@ fn run_inner(
             cfg.frontend_count(),
         ),
         checkpoint,
+        requests: BatchStream::new(dataset.clone(), cfg.seed, 0, 0, cfg.frontend_count()),
     });
     let wire = if cfg.realtime_wire {
         WirePolicy::Modeled
@@ -308,10 +313,6 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
     }
     let mlp_params = model.mlp_param_count();
 
-    // Every frontend draws the same request stream (shared seed), so the
-    // per-window arrivals agree without any coordination traffic.
-    let mut gen = is_frontend.then(|| SyntheticCriteo::new(dataset.clone(), cfg.seed));
-
     let mut cache = HotRowCache::new(if is_frontend { cfg.cache_rows } else { 0 }, dim);
     let mut coalescer = BatchCoalescer::new(world);
     coalescer.reserve((cfg.window / frontends.max(1) + 1) * tables);
@@ -417,7 +418,9 @@ fn rank_serve(ctx: &RankCtx, setup: &Setup) -> RankOutcome {
         scratch.store_vals.clear();
         coalescer.clear();
         let mut local_bytes = 0u64;
-        let batch = gen.as_mut().map(|g| g.next_batch(wlen));
+        // Every frontend walks the same request window, drawn once for all
+        // of them, so the arrivals agree without coordination traffic.
+        let batch = is_frontend.then(|| setup.requests.take(w, wlen));
         if let Some(batch) = &batch {
             for i in 0..wlen {
                 if (wstart + i) % frontends != rank {

@@ -52,8 +52,11 @@ impl SeededRng {
 
     /// Standard normal `f32` via Box–Muller.
     pub fn normal(&mut self, mean: f32, std: f32) -> f32 {
-        // Box–Muller transform; consumes two uniforms per pair but we keep it
-        // simple and regenerate (this is nowhere near a hot path).
+        // Box–Muller transform; consumes two uniforms and discards the
+        // second variate. The synthetic data draw calls this 14 times per
+        // kaggle-like sample (13 dense features and the label noise), so it
+        // is on the batch-draw path, but caching the spare variate would
+        // change every generated stream.
         let u1: f32 = self.inner.gen_range(f32::EPSILON..1.0);
         let u2: f32 = self.inner.gen_range(0.0..1.0);
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();

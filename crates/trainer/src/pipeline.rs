@@ -30,7 +30,7 @@ use dlrm_comm::topology::{HierExchangeBytes, TieredCostModel, Topology};
 use dlrm_comm::{CostModel, OverlapTimeline, TimingLedger};
 use dlrm_compress::lowprec::{self, Precision};
 use dlrm_compress::{CompressScratch, Compressor, CompressorKind};
-use dlrm_data::{DatasetConfig, MiniBatch, SyntheticCriteo};
+use dlrm_data::{BatchStream, DatasetConfig, MiniBatch};
 use dlrm_grad::GradCompressor;
 use dlrm_model::{Dlrm, DlrmConfig, EvalMetrics};
 use dlrm_obs::{ClockDomain, MetricsRow, MetricsSeries, RankTrack, RecordKind, SpanRecorder};
@@ -503,6 +503,10 @@ pub struct RankSetup {
     pub partition: TablePartition,
     /// The slice of global iterations this execution covers.
     pub segment: SegmentSpec,
+    /// The global batches, indexed by global iteration: drawn once per
+    /// iteration, shared by every rank of the segment, fast-forwarded to
+    /// `segment.start`.
+    pub batches: BatchStream,
 }
 
 /// Per-rank result of a training run.
@@ -1829,9 +1833,6 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
 
     let model_config = DlrmConfig::from_dataset(dataset);
     let mut model = Dlrm::new_partial(model_config, trainer.seed, Some(&owned));
-    // Every rank draws the same stream so the global batch is identical
-    // everywhere; each rank then works on its own shard of it.
-    let mut generator = SyntheticCriteo::new(dataset.clone(), trainer.seed.wrapping_add(1));
 
     let mut ledger = TimingLedger::new();
     let mut per_iteration = Vec::with_capacity(seg.end - seg.start);
@@ -1853,15 +1854,11 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
     let mut my_lookups: Vec<Matrix> = Vec::new();
     let mut grad_entries: Vec<(u32, u32, Matrix)> = Vec::new();
 
-    // ── Segment entry: fast-forward the shared batch stream so global
-    // iteration k draws the same batch no matter how many segments precede
-    // it, then restore from the checkpoint this segment resumes from
-    // (recovery after a rank loss, or re-sharding onto a resized world).
-    // Sections are keyed by table id, so the restore works for any
-    // partition of the surviving world.
-    for _ in 0..seg.start {
-        let _ = generator.next_batch(trainer.global_batch);
-    }
+    // ── Segment entry: restore from the checkpoint this segment resumes
+    // from (recovery after a rank loss, or re-sharding onto a resized
+    // world). The shared batch stream was fast-forwarded to the segment's
+    // start when it was built. Sections are keyed by table id, so the
+    // restore works for any partition of the surviving world.
     let mut ckpt_codec: Option<CkptCodec> =
         seg.checkpoint.as_ref().map(|s| CkptCodec::new(&s.codec));
     let mut ckpt_flat: Vec<f32> = Vec::new();
@@ -2046,7 +2043,9 @@ pub fn run_rank(ctx: &RankCtx, setup: &RankSetup) -> RankOutcome {
                 clock.close(phases::CONTROLLER, &mut ledger, &scratch, 0);
             }
         }
-        let global_batch = generator.next_batch(trainer.global_batch);
+        // One shared draw: the first rank to reach the iteration draws the
+        // global batch, every rank works on its own shard of it.
+        let global_batch = setup.batches.take(iter, trainer.global_batch);
         let shards = global_batch.shard(world);
         let my_shard = &shards[rank];
 
